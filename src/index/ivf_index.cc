@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/clock.h"
 #include "common/hash.h"
 #include "vecmath/kernels.h"
 
@@ -278,99 +277,6 @@ void IvfIndex::ScanListPadded(std::size_t list, const float* padded_query,
   });
 }
 
-double IvfIndex::EstimateFilterSelectivity(const FilterExpression& filter,
-                                           CategoryId category_filter) const {
-  const std::size_t n = forward_.size();
-  if (n == 0) return 0.0;
-  // Deterministic strided sample of the forward index: ~256 probes bound the
-  // cost regardless of index size, and appended entries arrive in workload
-  // order, so strides see a representative attribute mix.
-  constexpr std::size_t kSamples = 256;
-  const std::size_t step = std::max<std::size_t>(1, n / kSamples);
-  std::size_t seen = 0;
-  std::size_t pass = 0;
-  for (std::size_t local = 0; local < n; local += step) {
-    ++seen;
-    const auto id = static_cast<LocalId>(local);
-    if (config_.filter_invalid_during_scan && !valid_.Get(id)) continue;
-    const AttributeSnapshot snapshot = forward_.Get(id);
-    if (category_filter != kNoCategoryFilter &&
-        snapshot.category != category_filter) {
-      continue;
-    }
-    if (!filter.Matches(snapshot.category, snapshot.attributes)) continue;
-    ++pass;
-  }
-  return static_cast<double>(pass) / static_cast<double>(seen);
-}
-
-IvfIndex::FilterPlan IvfIndex::PlanFilteredScan(
-    const FilterExpression& filter, CategoryId category_filter,
-    std::size_t nprobe, FilterScanStats* stats,
-    std::shared_ptr<const MaterializedFilter> reuse) const {
-  FilterPlan plan;
-  plan.nprobe = nprobe;
-  if (stats != nullptr) {
-    *stats = FilterScanStats{};
-    stats->universe = forward_.size();
-  }
-  if (filter.empty()) return plan;
-  if (reuse == nullptr) {
-    // Broad filters never materialize (PR 8's open cut): a sampled estimate
-    // at/above the post threshold routes the query into direct post mode,
-    // where predicates run only against the <= k kernel survivors and the
-    // per-query ~1ms/100k-entry bitmap cost disappears.
-    const double estimate = EstimateFilterSelectivity(filter, category_filter);
-    if (estimate >= config_.filter_post_threshold) {
-      plan.use_filter = true;
-      plan.post_mode = true;
-      plan.direct = &filter;
-      if (stats != nullptr) {
-        stats->strategy = FilterScanStats::Strategy::kPost;
-        stats->selectivity_bp =
-            static_cast<std::uint32_t>(estimate * 10000.0);
-        stats->estimated = true;
-      }
-      return plan;
-    }
-  }
-  Micros materialize_micros = 0;
-  if (reuse != nullptr) {
-    // A batch sibling with an identical filter already paid for the bitmap.
-    plan.bits = std::move(reuse);
-    if (stats != nullptr) stats->reused_bitmap = true;
-  } else {
-    const Stopwatch watch(MonotonicClock::Instance());
-    // The ablation flag keeps validity out of the bitmap (deferred to
-    // materialization), matching the unfiltered scan's contract.
-    plan.bits = std::make_shared<const MaterializedFilter>(filters_.Materialize(
-        filter, category_filter,
-        config_.filter_invalid_during_scan ? &valid_ : nullptr));
-    materialize_micros = watch.ElapsedMicros();
-  }
-  plan.use_filter = true;
-  const double selectivity = plan.bits->selectivity();
-  if (plan.bits->matches == 0) {
-    plan.empty_result = true;
-  } else if (selectivity >= config_.filter_post_threshold) {
-    plan.post_mode = true;
-  } else if (selectivity < config_.filter_widen_threshold &&
-             config_.filter_widen_factor > 1) {
-    plan.nprobe = std::min(nprobe * config_.filter_widen_factor,
-                           quantizer_->num_clusters());
-  }
-  if (stats != nullptr) {
-    stats->strategy = plan.post_mode ? FilterScanStats::Strategy::kPost
-                                     : FilterScanStats::Strategy::kPre;
-    stats->selectivity_bp = static_cast<std::uint32_t>(selectivity * 10000.0);
-    stats->matches = plan.bits->matches;
-    stats->universe = plan.bits->universe;
-    stats->widened_nprobe = plan.nprobe != nprobe;
-    stats->materialize_micros = materialize_micros;
-  }
-  return plan;
-}
-
 SearchHit IvfIndex::MaterializeHit(const ScoredImage& scored) const {
   const auto local = static_cast<LocalId>(scored.image_id);
   const AttributeSnapshot snapshot = forward_.Get(local);
@@ -443,18 +349,16 @@ std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
   assert(query.size() == dim());
   const std::size_t nprobe =
       nprobe_override == 0 ? config_.nprobe : nprobe_override;
-  FilterPlan plan;
-  if (filter != nullptr && !filter->empty()) {
-    plan = PlanFilteredScan(*filter, category_filter, nprobe, stats);
-    // Zero matches: empty-but-successful, no scan work at all.
-    if (plan.empty_result) return {};
-  } else {
-    plan.nprobe = nprobe;
-    if (stats != nullptr) {
-      *stats = FilterScanStats{};
-      stats->universe = forward_.size();
-    }
-  }
+  // The ablation flag keeps validity out of the bitmap (deferred to
+  // materialization), matching the unfiltered scan's contract.
+  const FilterPlan plan = PlanFilteredScan(
+      {forward_, filters_,
+       config_.filter_invalid_during_scan ? &valid_ : nullptr,
+       quantizer_->num_clusters(), config_.filter_post_threshold,
+       config_.filter_widen_threshold, config_.filter_widen_factor},
+      filter, category_filter, nprobe, stats);
+  // Zero matches: empty-but-successful, no scan work at all.
+  if (plan.empty_result) return {};
   // "each searcher node identifies the cluster that is most similar to the
   // queried image based on its features" (Section 2.4), generalized to the
   // standard multi-probe recall knob.
@@ -474,112 +378,9 @@ std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
   // the unfiltered scan carry the category filter through.
   std::vector<ScoredImage> ranked =
       ScanProbes(query, k, probes,
-                 plan.bits != nullptr ? kNoCategoryFilter : category_filter,
-                 plan.bits.get(), plan.post_mode, stats, plan.direct);
+                 plan.bits ? kNoCategoryFilter : category_filter,
+                 plan.bitmap(), plan.post_mode, stats, plan.direct);
   return MaterializeRanked(ranked);
-}
-
-std::vector<std::vector<SearchHit>> IvfIndex::SearchBatch(
-    std::span<const IvfBatchQuery> queries) const {
-  const std::size_t n = queries.size();
-  std::vector<std::vector<SearchHit>> out(n);
-  if (n == 0) return out;
-  // Coarse assignment: one centroid-major sweep for the whole batch.
-  std::vector<FeatureView> views;
-  std::vector<std::size_t> nprobes;
-  views.reserve(n);
-  nprobes.reserve(n);
-  // Per-query filter plans first: extreme selectivity can widen a query's
-  // nprobe, which must happen before the shared coarse pass. Queries whose
-  // FilterExpression hashes (and compares) equal share one materialized
-  // bitmap — the batch pays the materialization cost once, not per query.
-  struct SharedBitmap {
-    std::uint64_t hash = 0;
-    CategoryId category = kNoCategoryFilter;
-    const FilterExpression* expr = nullptr;
-    std::shared_ptr<const MaterializedFilter> bits;  // null if direct mode
-  };
-  std::vector<SharedBitmap> shared;
-  std::vector<FilterPlan> plans(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const IvfBatchQuery& bq = queries[i];
-    assert(bq.query.size() == dim());
-    views.push_back(bq.query);
-    const std::size_t nprobe = bq.nprobe == 0 ? config_.nprobe : bq.nprobe;
-    if (bq.filter != nullptr && !bq.filter->empty()) {
-      const std::uint64_t hash = bq.filter->Hash();
-      SharedBitmap* match = nullptr;
-      for (SharedBitmap& s : shared) {
-        if (s.hash == hash && s.category == bq.category_filter &&
-            *s.expr == *bq.filter) {
-          match = &s;
-          break;
-        }
-      }
-      plans[i] = PlanFilteredScan(*bq.filter, bq.category_filter, nprobe,
-                                  bq.filter_stats,
-                                  match != nullptr ? match->bits : nullptr);
-      if (match == nullptr) {
-        shared.push_back(
-            {hash, bq.category_filter, bq.filter, plans[i].bits});
-      }
-    } else {
-      plans[i].nprobe = nprobe;
-      if (bq.filter_stats != nullptr) {
-        *bq.filter_stats = FilterScanStats{};
-        bq.filter_stats->universe = forward_.size();
-      }
-    }
-    nprobes.push_back(plans[i].nprobe);
-  }
-  std::vector<std::vector<std::uint32_t>> probes =
-      quantizer_->NearestCentroidsBatch(views, nprobes);
-  // Tiered mode: pin every query's probe set for the batch's whole scan;
-  // per-query io budgets truncate their own probe lists.
-  std::vector<TieredListStore::PinGuard> guards;
-  if (tiered_store_ != nullptr) {
-    guards.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      guards.push_back(tiered_store_->Pin(probes[i],
-                                          queries[i].io_budget_micros,
-                                          queries[i].tier_stats));
-      probes[i] = guards.back().pinned();
-    }
-  }
-  // All padded queries in one aligned block, with their norms.
-  AlignedArray<float> padded = AllocateAligned<float>(n * padded_dim_);
-  std::vector<float> query_norms(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(padded.get() + i * padded_dim_, queries[i].query.data(),
-                dim() * sizeof(float));
-    query_norms[i] = SquaredNorm(padded.get() + i * padded_dim_, dim());
-  }
-  // Scan in list order so a list probed by several queries is swept
-  // back-to-back while its rows are still in cache.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> plan;  // (list, query)
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plans[i].empty_result) continue;  // zero-match filter: no scan work
-    for (const std::uint32_t list : probes[i]) {
-      plan.emplace_back(list, static_cast<std::uint32_t>(i));
-    }
-  }
-  std::stable_sort(plan.begin(), plan.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<TopK> topks;
-  topks.reserve(n);
-  for (const IvfBatchQuery& bq : queries) topks.emplace_back(bq.k);
-  for (const auto& [list, qi] : plan) {
-    const FilterPlan& fp = plans[qi];
-    ScanListPadded(list, padded.get() + qi * padded_dim_, query_norms[qi],
-                   fp.bits != nullptr ? kNoCategoryFilter
-                                      : queries[qi].category_filter,
-                   fp.bits.get(), fp.post_mode, fp.direct,
-                   queries[qi].filter_stats, topks[qi]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = MaterializeRanked(topks[i].TakeSorted());
-  }
-  return out;
 }
 
 std::vector<SearchHit> IvfIndex::SearchExhaustive(FeatureView query,

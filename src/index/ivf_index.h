@@ -35,6 +35,7 @@
 #include "cluster/quantizer.h"
 #include "common/clock.h"
 #include "filter/attribute_filter_index.h"
+#include "filter/filter_plan.h"
 #include "index/bitmap.h"
 #include "index/forward_index.h"
 #include "index/image_index.h"
@@ -77,27 +78,6 @@ struct IvfIndexStats {
   std::size_t largest_list = 0;
   std::uint64_t list_expansions = 0;
   std::size_t buffer_bytes = 0;
-};
-
-// One query of an in-searcher micro-batch: the per-query knobs of Search()
-// as a value, so concurrently admitted queries can share a coarse-probe pass
-// and back-to-back list scans (see Searcher micro-batching).
-struct IvfBatchQuery {
-  FeatureView query;
-  std::size_t k = 10;
-  std::size_t nprobe = 0;  // 0 = configured default
-  CategoryId category_filter = kNoCategoryFilter;
-  // Optional hybrid filter: the pointee must outlive the SearchBatch call
-  // (the searcher keeps it alive in the per-request QueryOptions). Null or
-  // empty means unfiltered.
-  const FilterExpression* filter = nullptr;
-  // Optional per-query diagnostics sink (caller-owned).
-  FilterScanStats* filter_stats = nullptr;
-  // Tiered serving: fault-time budget for cold posting lists (0 = no limit;
-  // probes past the budget are dropped — reduced effective nprobe) and an
-  // optional residency accounting sink (caller-owned).
-  Micros io_budget_micros = 0;
-  TierScanStats* tier_stats = nullptr;
 };
 
 class IvfIndex final : public ImageIndex {
@@ -177,14 +157,6 @@ class IvfIndex final : public ImageIndex {
                                 FilterScanStats* stats,
                                 Micros io_budget_micros,
                                 TierScanStats* tier_stats) const;
-
-  // Answers a group of concurrently admitted queries in one pass:
-  // coarse assignment is a single centroid-major sweep for the whole batch,
-  // and inverted lists probed by several queries are scanned back-to-back so
-  // their feature rows are read from cache instead of memory. Results are
-  // identical to calling Search() per query. out[i] answers queries[i].
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      std::span<const IvfBatchQuery> queries) const;
 
   // Scan stage alone: top-k (local id, distance) pairs over an
   // already-chosen probe set, without forward-index materialization. The
@@ -283,32 +255,6 @@ class IvfIndex final : public ImageIndex {
                                const float*, std::size_t)>& fn) const;
 
  private:
-  // One query's hybrid scan decision: the (possibly shared) materialized
-  // bitmap — or, for broad filters, a direct predicate pointer and no bitmap
-  // at all — plus the strategy the selectivity picked. Shared by Search and
-  // SearchBatch.
-  struct FilterPlan {
-    std::shared_ptr<const MaterializedFilter> bits;  // null in direct mode
-    // Direct post mode: predicates evaluated only on kernel survivors,
-    // nothing materialized (the broad-filter fix from PR 8's open cut).
-    const FilterExpression* direct = nullptr;
-    bool use_filter = false;    // false = unfiltered legacy scan
-    bool post_mode = false;     // survivors tested vs sub-block masks
-    bool empty_result = false;  // zero matches: skip the scan entirely
-    std::size_t nprobe = 0;     // effective probe count (possibly widened)
-  };
-  // `reuse` (optional) is an already-materialized bitmap for this exact
-  // (filter, category_filter) — SearchBatch shares one across a batch's
-  // queries with equal FilterExpression::Hash().
-  FilterPlan PlanFilteredScan(
-      const FilterExpression& filter, CategoryId category_filter,
-      std::size_t nprobe, FilterScanStats* stats,
-      std::shared_ptr<const MaterializedFilter> reuse = nullptr) const;
-  // Sampled selectivity estimate (bounded forward-index probes, no bitmap):
-  // the gate that sends broad filters into direct post mode.
-  double EstimateFilterSelectivity(const FilterExpression& filter,
-                                   CategoryId category_filter) const;
-
   SearchHit MaterializeHit(const ScoredImage& scored) const;
   // Materializes ranked scan results, applying the late validity filter when
   // the ablation flag disabled filtering during the scan.

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "common/clock.h"
 #include "common/hash.h"
 #include "vecmath/distance.h"
 #include "vecmath/kernels.h"
@@ -199,95 +198,6 @@ void IvfPqIndex::ScanListAdc(std::size_t list, const float* table,
   });
 }
 
-double IvfPqIndex::EstimateFilterSelectivity(
-    const FilterExpression& filter, CategoryId category_filter) const {
-  const std::size_t n = forward_.size();
-  if (n == 0) return 0.0;
-  // Deterministic strided sample (same recipe as IvfIndex); the PQ scan
-  // always honors validity, so the sample does too.
-  constexpr std::size_t kSamples = 256;
-  const std::size_t step = std::max<std::size_t>(1, n / kSamples);
-  std::size_t seen = 0;
-  std::size_t pass = 0;
-  for (std::size_t local = 0; local < n; local += step) {
-    ++seen;
-    const auto id = static_cast<LocalId>(local);
-    if (!valid_.Get(id)) continue;
-    const AttributeSnapshot snapshot = forward_.Get(id);
-    if (category_filter != kNoCategoryFilter &&
-        snapshot.category != category_filter) {
-      continue;
-    }
-    if (!filter.Matches(snapshot.category, snapshot.attributes)) continue;
-    ++pass;
-  }
-  return static_cast<double>(pass) / static_cast<double>(seen);
-}
-
-IvfPqIndex::FilterPlan IvfPqIndex::PlanFilteredScan(
-    const FilterExpression& filter, CategoryId category_filter,
-    std::size_t nprobe, FilterScanStats* stats,
-    std::shared_ptr<const MaterializedFilter> reuse) const {
-  FilterPlan plan;
-  plan.nprobe = nprobe;
-  if (stats != nullptr) {
-    *stats = FilterScanStats{};
-    stats->universe = forward_.size();
-  }
-  if (filter.empty()) return plan;
-  if (reuse == nullptr) {
-    // Broad filters skip bitmap materialization: a sampled estimate at or
-    // above the post threshold routes into direct post mode.
-    const double estimate = EstimateFilterSelectivity(filter, category_filter);
-    if (estimate >= config_.filter_post_threshold) {
-      plan.use_filter = true;
-      plan.post_mode = true;
-      plan.direct = &filter;
-      if (stats != nullptr) {
-        stats->strategy = FilterScanStats::Strategy::kPost;
-        stats->selectivity_bp =
-            static_cast<std::uint32_t>(estimate * 10000.0);
-        stats->estimated = true;
-      }
-      return plan;
-    }
-  }
-  Micros materialize_micros = 0;
-  if (reuse != nullptr) {
-    // A batch sibling with an identical filter already paid for the bitmap.
-    plan.bits = std::move(reuse);
-    if (stats != nullptr) stats->reused_bitmap = true;
-  } else {
-    const Stopwatch watch(MonotonicClock::Instance());
-    // The PQ scan always honors validity (no ablation flag here), so it is
-    // always folded into the bitmap.
-    plan.bits = std::make_shared<const MaterializedFilter>(
-        filters_.Materialize(filter, category_filter, &valid_));
-    materialize_micros = watch.ElapsedMicros();
-  }
-  plan.use_filter = true;
-  const double selectivity = plan.bits->selectivity();
-  if (plan.bits->matches == 0) {
-    plan.empty_result = true;
-  } else if (selectivity >= config_.filter_post_threshold) {
-    plan.post_mode = true;
-  } else if (selectivity < config_.filter_widen_threshold &&
-             config_.filter_widen_factor > 1) {
-    plan.nprobe = std::min(nprobe * config_.filter_widen_factor,
-                           quantizer_->num_clusters());
-  }
-  if (stats != nullptr) {
-    stats->strategy = plan.post_mode ? FilterScanStats::Strategy::kPost
-                                     : FilterScanStats::Strategy::kPre;
-    stats->selectivity_bp = static_cast<std::uint32_t>(selectivity * 10000.0);
-    stats->matches = plan.bits->matches;
-    stats->universe = plan.bits->universe;
-    stats->widened_nprobe = plan.nprobe != nprobe;
-    stats->materialize_micros = materialize_micros;
-  }
-  return plan;
-}
-
 std::vector<SearchHit> IvfPqIndex::RankAndMaterialize(FeatureView query,
                                                       std::size_t k,
                                                       TopK& adc_topk) const {
@@ -337,17 +247,13 @@ std::vector<SearchHit> IvfPqIndex::Search(FeatureView query, std::size_t k,
   assert(query.size() == dim());
   const std::size_t nprobe =
       nprobe_override == 0 ? config_.nprobe : nprobe_override;
-  FilterPlan plan;
-  if (filter != nullptr && !filter->empty()) {
-    plan = PlanFilteredScan(*filter, category_filter, nprobe, stats);
-    if (plan.empty_result) return {};
-  } else {
-    plan.nprobe = nprobe;
-    if (stats != nullptr) {
-      *stats = FilterScanStats{};
-      stats->universe = forward_.size();
-    }
-  }
+  // The PQ scan always honors validity, so it is always folded in.
+  const FilterPlan plan = PlanFilteredScan(
+      {forward_, filters_, &valid_, quantizer_->num_clusters(),
+       config_.filter_post_threshold, config_.filter_widen_threshold,
+       config_.filter_widen_factor},
+      filter, category_filter, nprobe, stats);
+  if (plan.empty_result) return {};
   // Per-query ADC table, built exactly once: num_subspaces x codebook_size
   // partial squared distances.
   const std::vector<float> table = pq_->BuildDistanceTable(query);
@@ -368,111 +274,11 @@ std::vector<SearchHit> IvfPqIndex::Search(FeatureView query, std::size_t k,
   }
   for (const std::uint32_t list : probes) {
     ScanListAdc(list, table.data(),
-                plan.bits != nullptr ? kNoCategoryFilter : category_filter,
-                plan.bits.get(), plan.post_mode, plan.direct, stats,
+                plan.bits ? kNoCategoryFilter : category_filter,
+                plan.bitmap(), plan.post_mode, plan.direct, stats,
                 adc_topk);
   }
   return RankAndMaterialize(query, k, adc_topk);
-}
-
-std::vector<std::vector<SearchHit>> IvfPqIndex::SearchBatch(
-    std::span<const IvfBatchQuery> queries) const {
-  const std::size_t n = queries.size();
-  std::vector<std::vector<SearchHit>> out(n);
-  if (n == 0) return out;
-  std::vector<FeatureView> views;
-  std::vector<std::size_t> nprobes;
-  views.reserve(n);
-  nprobes.reserve(n);
-  // Per-query filter plans first: widening must precede the coarse pass.
-  // Queries with identical filters share one materialized bitmap.
-  struct SharedBitmap {
-    std::uint64_t hash = 0;
-    CategoryId category = kNoCategoryFilter;
-    const FilterExpression* expr = nullptr;
-    std::shared_ptr<const MaterializedFilter> bits;  // null if direct mode
-  };
-  std::vector<SharedBitmap> shared;
-  std::vector<FilterPlan> plans(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const IvfBatchQuery& bq = queries[i];
-    assert(bq.query.size() == dim());
-    views.push_back(bq.query);
-    const std::size_t nprobe = bq.nprobe == 0 ? config_.nprobe : bq.nprobe;
-    if (bq.filter != nullptr && !bq.filter->empty()) {
-      const std::uint64_t hash = bq.filter->Hash();
-      SharedBitmap* match = nullptr;
-      for (SharedBitmap& s : shared) {
-        if (s.hash == hash && s.category == bq.category_filter &&
-            *s.expr == *bq.filter) {
-          match = &s;
-          break;
-        }
-      }
-      plans[i] = PlanFilteredScan(*bq.filter, bq.category_filter, nprobe,
-                                  bq.filter_stats,
-                                  match != nullptr ? match->bits : nullptr);
-      if (match == nullptr) {
-        shared.push_back(
-            {hash, bq.category_filter, bq.filter, plans[i].bits});
-      }
-    } else {
-      plans[i].nprobe = nprobe;
-      if (bq.filter_stats != nullptr) {
-        *bq.filter_stats = FilterScanStats{};
-        bq.filter_stats->universe = forward_.size();
-      }
-    }
-    nprobes.push_back(plans[i].nprobe);
-  }
-  std::vector<std::vector<std::uint32_t>> probes =
-      quantizer_->NearestCentroidsBatch(views, nprobes);
-  // Tiered mode: pin every query's probe set for the whole batch scan.
-  std::vector<TieredListStore::PinGuard> guards;
-  if (tiered_store_ != nullptr) {
-    guards.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      guards.push_back(tiered_store_->Pin(probes[i],
-                                          queries[i].io_budget_micros,
-                                          queries[i].tier_stats));
-      probes[i] = guards.back().pinned();
-    }
-  }
-  // One ADC table per query for the batch's whole scan.
-  std::vector<std::vector<float>> tables;
-  tables.reserve(n);
-  for (const IvfBatchQuery& bq : queries) {
-    tables.push_back(pq_->BuildDistanceTable(bq.query));
-  }
-  std::vector<TopK> topks;
-  topks.reserve(n);
-  for (const IvfBatchQuery& bq : queries) {
-    topks.emplace_back(config_.rerank_candidates > 0
-                           ? std::max(config_.rerank_candidates, bq.k)
-                           : bq.k);
-  }
-  // List-major scan order: a list probed by several queries stays in cache.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> plan;  // (list, query)
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plans[i].empty_result) continue;  // zero-match filter: no scan work
-    for (const std::uint32_t list : probes[i]) {
-      plan.emplace_back(list, static_cast<std::uint32_t>(i));
-    }
-  }
-  std::stable_sort(plan.begin(), plan.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [list, qi] : plan) {
-    const FilterPlan& fp = plans[qi];
-    ScanListAdc(list, tables[qi].data(),
-                fp.bits != nullptr ? kNoCategoryFilter
-                                   : queries[qi].category_filter,
-                fp.bits.get(), fp.post_mode, fp.direct,
-                queries[qi].filter_stats, topks[qi]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = RankAndMaterialize(queries[i].query, queries[i].k, topks[i]);
-  }
-  return out;
 }
 
 void IvfPqIndex::ForEachEntry(

@@ -28,6 +28,7 @@
 
 #include "cluster/quantizer.h"
 #include "filter/attribute_filter_index.h"
+#include "filter/filter_plan.h"
 #include "index/bitmap.h"
 #include "index/forward_index.h"
 #include "index/inverted_index.h"
@@ -115,12 +116,6 @@ class IvfPqIndex final : public ImageIndex {
                                 Micros io_budget_micros,
                                 TierScanStats* tier_stats) const;
 
-  // Micro-batched variant: one centroid-major coarse pass for the whole
-  // batch, per-query ADC tables built once, and lists probed by several
-  // queries scanned back-to-back. out[i] is identical to Search(queries[i]).
-  std::vector<std::vector<SearchHit>> SearchBatch(
-      std::span<const IvfBatchQuery> queries) const;
-
   // Visits every entry with its attributes, PQ code (code_bytes() bytes),
   // inverted-list assignment, optional raw feature (empty view when the
   // refinement store is disabled) and validity. Snapshotting hook.
@@ -162,25 +157,6 @@ class IvfPqIndex final : public ImageIndex {
   }
 
  private:
-  // Mirrors IvfIndex::FilterPlan — one query's (possibly shared) bitmap, or
-  // a direct predicate pointer for broad filters, plus the strategy.
-  struct FilterPlan {
-    std::shared_ptr<const MaterializedFilter> bits;  // null in direct mode
-    const FilterExpression* direct = nullptr;
-    bool use_filter = false;
-    bool post_mode = false;
-    bool empty_result = false;
-    std::size_t nprobe = 0;
-  };
-  FilterPlan PlanFilteredScan(
-      const FilterExpression& filter, CategoryId category_filter,
-      std::size_t nprobe, FilterScanStats* stats,
-      std::shared_ptr<const MaterializedFilter> reuse = nullptr) const;
-  // Sampled pass rate of `filter` (+ category) over ~256 strided forward
-  // entries; decides direct post mode without materializing anything.
-  double EstimateFilterSelectivity(const FilterExpression& filter,
-                                   CategoryId category_filter) const;
-
   SearchHit MaterializeHit(const ScoredImage& scored) const;
   // ADC scan of one list: one pq_adc_scan kernel call per contiguous run,
   // then validity/category filtering on the way into the heap. A non-null
@@ -192,8 +168,8 @@ class IvfPqIndex final : public ImageIndex {
                    const MaterializedFilter* filter, bool post_filter,
                    const FilterExpression* direct, FilterScanStats* stats,
                    TopK& adc_topk) const;
-  // Post-scan finish shared by Search and SearchBatch: optional exact
-  // re-ranking (IVFADC+R), trim to k, materialize.
+  // Post-scan finish of Search: optional exact re-ranking (IVFADC+R), trim
+  // to k, materialize.
   std::vector<SearchHit> RankAndMaterialize(FeatureView query, std::size_t k,
                                             TopK& adc_topk) const;
 

@@ -1,7 +1,9 @@
 // Integration tests for the continuation-passing query pipeline: thread
 // counts bound CPU concurrency, not request concurrency. A 1-thread broker
-// tier must sustain dozens of in-flight fan-outs, and one slow searcher must
-// not stall unrelated queries flowing through the same broker thread.
+// tier must sustain dozens of in-flight fan-outs, one slow searcher must
+// not stall unrelated queries flowing through the same broker thread, and
+// overlapping scans on one searcher's pool must answer exactly as a solo
+// in-process search does, each recorded once in the scan histogram.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -10,10 +12,12 @@
 
 #include "common/hash.h"
 #include "index/full_index_builder.h"
+#include "obs/registry.h"
 #include "search/blender.h"
 #include "search/broker.h"
 #include "search/cluster_builder.h"
 #include "search/searcher.h"
+#include "vecmath/kernels.h"
 #include "workload/catalog_gen.h"
 
 namespace jdvs {
@@ -129,6 +133,103 @@ TEST(AsyncPipelineTest, SlowSearcherDoesNotStallUnrelatedQueries) {
   EXPECT_LT(elapsed, 1'200'000);
   EXPECT_GE(broker.peak_in_flight(), kQueries);
   EXPECT_EQ(broker.in_flight(), 0u);
+}
+
+// One searcher over a small trained catalog, for the concurrent-scan tests.
+// The suite keeps its historical SearcherBatchingTest name: these tests
+// guarded the retired micro-batching path and now guard the single scan
+// path that replaced it.
+struct ConcurrentSearcherFixture {
+  explicit ConcurrentSearcherFixture(obs::Registry* registry)
+      : embedder({.dim = 16, .num_categories = 6, .seed = 3}),
+        features(embedder, ExtractionCostModel{.mean_micros = 0}) {
+    CatalogGenConfig cg;
+    cg.num_products = 60;
+    cg.num_categories = 6;
+    GenerateCatalog(cg, catalog, images);
+
+    FullIndexBuilderConfig fc;
+    fc.kmeans.num_clusters = 6;
+    fc.index_config.nprobe = 6;
+    FullIndexBuilder builder(catalog, images, features, fc);
+    const auto quantizer = builder.TrainQuantizer();
+    Searcher::Config config;
+    config.threads = 4;
+    config.registry = registry;
+    searcher = std::make_unique<Searcher>("s-concurrent", config, features,
+                                          AcceptAllPartitionFilter());
+    searcher->InstallIndex(
+        builder.Build(quantizer, AcceptAllPartitionFilter()));
+  }
+
+  FeatureVector Query(std::size_t i) {
+    const ProductId pid = 1 + (i % 60);
+    return embedder.ExtractQuery(pid, catalog.Get(pid)->category,
+                                 /*seed=*/i + 1);
+  }
+
+  // Dispatches every query before joining any, so the scans overlap on the
+  // searcher's pool.
+  std::vector<std::vector<SearchHit>> SearchAllConcurrently(
+      const std::vector<FeatureVector>& queries) {
+    std::vector<std::future<std::vector<SearchHit>>> futures;
+    for (const FeatureVector& query : queries) {
+      futures.push_back(searcher->SearchAsync(query, /*k=*/5));
+    }
+    std::vector<std::vector<SearchHit>> results;
+    for (auto& f : futures) results.push_back(f.get());
+    return results;
+  }
+
+  SyntheticEmbedder embedder;
+  FeatureDb features;
+  ProductCatalog catalog;
+  ImageStore images;
+  std::unique_ptr<Searcher> searcher;
+};
+
+// Twenty-four scans dispatched before any is joined, on a 4-thread searcher
+// pool: every async answer must be hit-for-hit (bit-identical distances)
+// the in-process solo search of the same query.
+TEST(SearcherBatchingTest, ConcurrentAsyncMatchesSoloSearch) {
+  obs::Registry registry;
+  ConcurrentSearcherFixture fx(&registry);
+
+  constexpr std::size_t kQueries = 24;
+  std::vector<FeatureVector> queries;
+  for (std::size_t i = 0; i < kQueries; ++i) queries.push_back(fx.Query(i));
+  const auto concurrent = fx.SearchAllConcurrently(queries);
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    const auto solo = fx.searcher->SearchLocal(queries[i], /*k=*/5);
+    ASSERT_EQ(concurrent[i].size(), solo.size());
+    for (std::size_t j = 0; j < solo.size(); ++j) {
+      EXPECT_EQ(concurrent[i][j].image_id, solo[j].image_id);
+      EXPECT_EQ(concurrent[i][j].distance, solo[j].distance);
+      EXPECT_EQ(concurrent[i][j].image_url, solo[j].image_url);
+    }
+  }
+}
+
+// Every overlapping scan is recorded exactly once in the searcher's scan
+// latency histogram (the per-scan record the retired batch-size histogram
+// used to duplicate), and the searcher exports the resolved kernel dispatch
+// tier into the registry it was given.
+TEST(SearcherBatchingTest, RecordsBatchSizeHistogramAndDispatchTier) {
+  obs::Registry registry;
+  ConcurrentSearcherFixture fx(&registry);
+
+  constexpr std::size_t kQueries = 12;
+  std::vector<FeatureVector> queries;
+  for (std::size_t i = 0; i < kQueries; ++i) queries.push_back(fx.Query(i));
+  const auto results = fx.SearchAllConcurrently(queries);
+  ASSERT_EQ(results.size(), kQueries);
+
+  Histogram& scans = registry.GetHistogram(obs::Labeled(
+      "jdvs_searcher_scan_micros", "searcher", "s-concurrent"));
+  EXPECT_EQ(scans.Count(), kQueries);
+
+  EXPECT_EQ(registry.GetGauge("jdvs_kernel_dispatch_tier").Value(),
+            static_cast<std::int64_t>(ActiveKernelTier()));
 }
 
 }  // namespace

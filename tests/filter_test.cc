@@ -235,7 +235,7 @@ TEST(AttributeFilterIndexTest, CategoryRangePredicateSweepsSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// IVF pushdown: exactness, strategy selection, batching, concurrency
+// IVF pushdown: exactness, strategy selection, concurrency
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kDim = 16;
@@ -423,37 +423,6 @@ TEST(IvfFilterTest, FilterConjoinsWithLegacyCategoryFilter) {
   }
 }
 
-TEST(IvfFilterTest, SearchBatchMatchesPerQueryFilteredSearch) {
-  FlatFixture fx(1500, 16);
-  FilterExpression narrow;
-  narrow.WithMin(FilterField::kSales, 1400);
-  FilterExpression broad;
-  broad.WithMax(FilterField::kPriceCents, 5000);
-
-  std::vector<IvfBatchQuery> batch;
-  std::vector<FeatureVector> queries;
-  std::vector<FilterScanStats> stats(4);
-  for (std::uint64_t i = 0; i < 4; ++i) queries.push_back(fx.Query(30 + i));
-  batch.push_back({queries[0], 10, 0, kNoCategoryFilter, &narrow, &stats[0]});
-  batch.push_back({queries[1], 10, 0, kNoCategoryFilter, nullptr, &stats[1]});
-  batch.push_back({queries[2], 10, 0, kNoCategoryFilter, &broad, &stats[2]});
-  batch.push_back({queries[3], 10, 0, /*category_filter=*/2, nullptr,
-                   &stats[3]});
-  const auto results = fx.index->SearchBatch(batch);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(UrlSet(results[0]),
-            UrlSet(fx.index->Search(queries[0], 10, 0, kNoCategoryFilter,
-                                    narrow)));
-  EXPECT_EQ(UrlSet(results[1]), UrlSet(fx.index->Search(queries[1], 10)));
-  EXPECT_EQ(UrlSet(results[2]),
-            UrlSet(fx.index->Search(queries[2], 10, 0, kNoCategoryFilter,
-                                    broad)));
-  EXPECT_EQ(UrlSet(results[3]),
-            UrlSet(fx.index->Search(queries[3], 10, 0, 2)));
-  EXPECT_NE(stats[0].strategy, FilterScanStats::Strategy::kNone);
-  EXPECT_NE(stats[2].strategy, FilterScanStats::Strategy::kNone);
-}
-
 // The generic base-class fallback (over-fetch + post-filter) that non-IVF
 // index types inherit, exercised via a qualified call on the IVF instance.
 TEST(IvfFilterTest, BaseClassFallbackFiltersCorrectly) {
@@ -631,6 +600,80 @@ TEST(IvfPqFilterTest, ZeroMatchIsEmptyButSuccessful) {
   EXPECT_TRUE(
       index->Search(q, 10, 0, kNoCategoryFilter, filter, &stats).empty());
   EXPECT_EQ(stats.matches, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Shared planner: both IVF indexes plan a filter the same way
+// ---------------------------------------------------------------------------
+
+// An IVF-PQ index over exactly the flat fixture's entries and quantizer.
+std::unique_ptr<IvfPqIndex> PqTwinOf(const FlatFixture& fx) {
+  std::vector<FeatureVector> training;
+  for (const auto& e : fx.entries) training.push_back(e.feature);
+  ProductQuantizerConfig pc;
+  pc.num_subspaces = 8;
+  pc.codebook_size = 64;
+  auto index = std::make_unique<IvfPqIndex>(
+      fx.quantizer,
+      std::make_shared<ProductQuantizer>(ProductQuantizer::Train(training, pc)));
+  for (const auto& e : fx.entries) {
+    index->AddImage(e.url, e.product, e.category, e.attributes, "", e.feature);
+  }
+  return index;
+}
+
+TEST(FilterPlanTest, FlatAndPqIndexesReportIdenticalPlans) {
+  FlatFixture fx;
+  const auto pq_index = PqTwinOf(fx);
+  const std::size_t n = fx.entries.size();
+  // ~0.1% (widened pre), ~5% (pre), ~50% (estimated post).
+  for (const std::uint64_t min_sales : {n - 2, n - n / 20, n / 2}) {
+    FilterExpression filter;
+    filter.WithMin(FilterField::kSales, min_sales);
+    const FeatureVector q = fx.Query(min_sales);
+    FilterScanStats flat;
+    FilterScanStats pq;
+    fx.index->Search(q, 10, 0, kNoCategoryFilter, filter, &flat);
+    pq_index->Search(q, 10, 0, kNoCategoryFilter, filter, &pq);
+    EXPECT_EQ(flat.strategy, pq.strategy) << "min_sales=" << min_sales;
+    EXPECT_EQ(flat.selectivity_bp, pq.selectivity_bp) << min_sales;
+    EXPECT_EQ(flat.widened_nprobe, pq.widened_nprobe) << min_sales;
+    EXPECT_EQ(flat.estimated, pq.estimated) << min_sales;
+  }
+}
+
+// With filter_invalid_during_scan = false the flat index leaves validity
+// out of the bitmap (it is applied at result materialization), while the PQ
+// index always folds it in: invalidated rows still count as matches for
+// the former only.
+TEST(FilterPlanTest, ValidityFoldsIntoPqBitmapButNotUnderFlatAblation) {
+  IvfIndexConfig config;
+  config.filter_invalid_during_scan = false;
+  FlatFixture fx(2000, 16, config);
+  const auto pq_index = PqTwinOf(fx);
+  const std::size_t n = fx.entries.size();
+  FilterExpression filter;
+  filter.WithMin(FilterField::kSales, n - n / 20);  // entries [1900, 2000)
+  constexpr std::size_t kInvalidated = 10;
+  for (std::size_t i = n - n / 20; i < n - n / 20 + kInvalidated; ++i) {
+    const ProductId product = fx.entries[i].product;
+    ASSERT_EQ(fx.index->SetProductValidity(product, false), 1u);
+    ASSERT_EQ(pq_index->SetProductValidity(product, false), 1u);
+  }
+  FilterScanStats flat;
+  FilterScanStats pq;
+  const FeatureVector q = fx.Query(3);
+  const auto flat_hits =
+      fx.index->Search(q, 10, 0, kNoCategoryFilter, filter, &flat);
+  pq_index->Search(q, 10, 0, kNoCategoryFilter, filter, &pq);
+  ASSERT_EQ(flat.strategy, FilterScanStats::Strategy::kPre);
+  ASSERT_EQ(pq.strategy, FilterScanStats::Strategy::kPre);
+  EXPECT_EQ(flat.matches, n / 20);
+  EXPECT_EQ(pq.matches, n / 20 - kInvalidated);
+  // The late validity filter still keeps invalid rows out of the answer.
+  for (const auto& h : flat_hits) {
+    EXPECT_GE(h.product_id, fx.entries[n - n / 20 + kInvalidated].product);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -214,6 +214,30 @@ TEST(IvfPqIndexTest, ValidityFiltering) {
   }
 }
 
+TEST(IvfPqIndexTest, AdcDistancesMatchDecodedDistances) {
+  PqFixture fx;
+  IvfPqIndexConfig config;
+  config.nprobe = 16;  // probe everything: the scan covers the whole corpus
+  IvfPqIndex index(fx.quantizer, fx.pq, config);
+  fx.Fill(index, 60, 1);
+
+  for (ProductId pid = 1; pid <= 10; ++pid) {
+    const auto query = fx.embedder.ExtractQuery(
+        pid, static_cast<CategoryId>(pid % 8), /*seed=*/pid);
+    for (const auto& hit : index.Search(query, 5)) {
+      // The stored code is Encode(feature) and encoding is deterministic, so
+      // the ADC distance the scan produced must match the asymmetric
+      // distance to the reconstruction, up to table-vs-decode FP rounding.
+      const CategoryId category = static_cast<CategoryId>(hit.product_id % 8);
+      const FeatureVector feature = fx.embedder.Extract(
+          {hit.image_url, hit.product_id, category});
+      const float exact =
+          fx.pq->AsymmetricDistance(query, fx.pq->Encode(feature));
+      EXPECT_NEAR(hit.distance, exact, 1e-3f * (1.f + exact));
+    }
+  }
+}
+
 TEST(IvfPqIndexTest, RerankingImprovesOrdering) {
   PqFixture fx;
   IvfPqIndexConfig plain;
