@@ -90,6 +90,18 @@ class FaultInjector {
       return !drop_request && !drop_reply && !duplicate_reply &&
              latency_multiplier == 1.0 && added_latency_micros <= 0;
     }
+
+    // One hop of this message: the sampled wire delay scaled by
+    // latency_multiplier, plus added_latency_micros (which applies even
+    // when the latency model itself is zero).
+    Micros ScaleHop(Micros sampled) const {
+      if (latency_multiplier != 1.0 && sampled > 0) {
+        sampled = static_cast<Micros>(
+            static_cast<double>(sampled) *
+            (latency_multiplier > 0.0 ? latency_multiplier : 0.0));
+      }
+      return sampled + (added_latency_micros > 0 ? added_latency_micros : 0);
+    }
   };
 
   explicit FaultInjector(std::uint64_t seed = 0) : seed_(seed) {}

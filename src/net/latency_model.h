@@ -1,13 +1,17 @@
 // Network latency model for the simulated cluster fabric.
 //
 // The paper's evaluation runs on a real datacenter network; the simulated
-// RPC layer charges each hop a lognormal delay (base + jitter) so fan-out
+// RPC layer delays each hop by a lognormal sample (base + jitter) so fan-out
 // amplification and tail-latency effects — the phenomena the 3-level
-// architecture is designed around — appear at laptop scale.
+// architecture is designed around — appear at laptop scale. The delay is
+// wire time: Node posts the message to the callee's pool with that due time
+// (ThreadPool::SubmitAfter), so no worker is held while it is in flight.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace jdvs {
@@ -28,15 +32,25 @@ struct LatencyModel {
   std::int64_t SampleMicros(Rng& rng) const;
 };
 
-// Sleeps for one sampled hop delay using a thread-local RNG derived from
-// `stream_seed` (per-thread streams keep sampling lock-free).
-void ChargeHop(const LatencyModel& model, std::uint64_t stream_seed);
+// Counter-based stream of one node's hop delays: the n-th draw is a pure
+// function of (seed, stream, n), so a node's delay sequence depends only on
+// its own seed, not on which thread samples it. `stream` separates a node's
+// request hops from its reply hops. Thread-safe.
+class HopStream {
+ public:
+  HopStream(std::uint64_t seed, std::uint64_t stream)
+      : key_(Mix64(HashCombine(seed, stream))) {}
 
-// ChargeHop with fault-injection scaling: the sampled delay is multiplied
-// by `multiplier` and extended by `added_micros` (a limping link per
-// net/fault_injector.h). A nonzero `added_micros` charges even when the
-// model itself is zero.
-void ChargeHop(const LatencyModel& model, std::uint64_t stream_seed,
-               double multiplier, std::int64_t added_micros);
+  std::int64_t Next(const LatencyModel& model) {
+    if (model.IsZero()) return 0;
+    Rng rng(HashCombine(
+        key_, Mix64(counter_.fetch_add(1, std::memory_order_relaxed))));
+    return model.SampleMicros(rng);
+  }
+
+ private:
+  const std::uint64_t key_;
+  std::atomic<std::uint64_t> counter_{0};
+};
 
 }  // namespace jdvs

@@ -3,21 +3,30 @@
 // Each blender, broker and searcher instance of Figure 10 runs as a Node: a
 // named entity with its own bounded worker pool (standing in for a server's
 // cores) and a fail switch for availability experiments. Invoke() is the RPC
-// entry point: the callable runs on the *callee's* pool after a simulated
-// network hop, and the result travels back through a future after a second
-// hop — so fan-out calls from one node to many execute genuinely in
-// parallel, and a saturated node queues requests exactly like a busy server.
-// InvokeAsync() is the continuation-passing variant the serving pipeline
-// uses: the result is delivered to a completion callback on the callee's
-// pool thread, so no caller thread ever parks waiting for a response.
+// entry point: the callable runs on the *callee's* pool, and the result
+// travels back through a future — so fan-out calls from one node to many
+// execute genuinely in parallel, and a saturated node queues requests
+// exactly like a busy server. InvokeAsync() is the continuation-passing
+// variant the serving pipeline uses: the result is delivered to a
+// completion callback on the callee's pool, so no caller thread ever parks
+// waiting for a response.
+//
+// Wire time is a due time in the callee's queue. Each RPC samples one
+// request hop and one reply hop from the node's LatencyModel (HopStream:
+// per-node, counter-based). The request is posted to the callee's pool with
+// ThreadPool::SubmitAfter(request hop), the reply continuation with
+// SubmitAfter(reply hop); while a message is in flight it sits in the pool's
+// delay heap and holds no worker. Workers are busy only while they execute,
+// so pool saturation and queue wait measure service, not the simulator.
 //
 // Fault model: an attached FaultInjector (set_fault_injector) gives every
 // message a per-link fate — dropped request, dropped or duplicated reply,
-// stretched latency, directed partition. A dropped message is *silent*: the
-// continuation never fires unless the caller armed a per-RPC timeout
-// (InvokeAsyncWithTimeout), in which case the shared TimeoutScheduler
-// delivers a typed RpcTimeoutError instead, and a late or duplicated reply
-// is swallowed by the per-call first-completion-wins guard.
+// stretched latency (scaling both hop delays), directed partition. A
+// dropped message is *silent*: the continuation never fires unless the
+// caller armed a per-RPC timeout (InvokeAsyncWithTimeout), in which case the
+// shared TimeoutScheduler delivers a typed RpcTimeoutError instead, and a
+// late or duplicated reply is swallowed by the per-call first-completion-wins
+// guard.
 #pragma once
 
 #include <atomic>
@@ -56,11 +65,12 @@ class Node {
        std::uint64_t seed = 0)
       : name_(std::move(name)),
         latency_(latency),
-        seed_(HashCombine(Mix64(seed), Fnv1a64(name_))),
+        request_hops_(HashCombine(Mix64(seed), Fnv1a64(name_)), 0),
+        reply_hops_(HashCombine(Mix64(seed), Fnv1a64(name_)), 1),
         pool_(threads, name_) {}
 
-  // Schedules `fn` on this node's pool, charging one inbound network hop
-  // before it runs and one outbound hop before the future is fulfilled.
+  // Schedules `fn` on this node's pool after one inbound network hop; the
+  // future is fulfilled after one outbound hop.
   // Throws NodeFailedError through the future while failed() is set. With a
   // fault injector attached, a dropped message breaks the promise (the
   // future throws std::future_error) rather than hanging the caller.
@@ -85,7 +95,8 @@ class Node {
   // like Invoke(), but delivers the outcome (value or std::exception_ptr,
   // including the NodeFailedError thrown while failed() is set) to `on_done`
   // as an AsyncResult<R> instead of a future. `on_done` runs on the callee's
-  // pool thread right after `fn`; no caller thread blocks. If the pool is
+  // pool once the reply hop has elapsed (on the same thread, right after
+  // `fn`, when the hop is zero); no caller thread blocks. If the pool is
   // already shut down the task runs inline so the callback always fires.
   template <typename F, typename Done>
   void InvokeAsync(F&& fn, Done&& on_done) {
@@ -105,30 +116,17 @@ class Node {
     if (injector == nullptr && timeout_micros <= 0) {
       // Clean fabric, no deadline to arm: skip the guard entirely. This is
       // the steady-state hot path.
-      auto task = [this, fn = std::forward<F>(fn),
-                   done = std::forward<Done>(on_done)]() mutable {
-        RpcSourceScope source(name_);
-        AsyncResult<R> result;
-        try {
-          ChargeHop(latency_, seed_);  // request transit
-          if (failed_.load(std::memory_order_acquire)) {
-            throw NodeFailedError(name_);
-          }
-          if constexpr (std::is_void_v<R>) {
-            fn();
-          } else {
-            result.value.emplace(fn());
-          }
-          ChargeHop(latency_, seed_ ^ 1);  // response transit
-        } catch (...) {
-          result.error = std::current_exception();
-        }
-        done(std::move(result));
-      };
-      // shared_ptr wrapper: std::function requires copyable callables, and a
-      // failed Submit (pool shut down) must still be able to run the task.
-      auto shared = std::make_shared<decltype(task)>(std::move(task));
-      if (!pool_.Submit([shared] { (*shared)(); })) (*shared)();
+      Post(request_hops_.Next(latency_),
+           [this, fn = std::forward<F>(fn),
+            done = std::forward<Done>(on_done)]() mutable {
+             RpcSourceScope source(name_);
+             AsyncResult<R> result = Execute<R>(fn);
+             Reply(reply_hops_.Next(latency_),
+                   [done = std::move(done),
+                    result = std::move(result)]() mutable {
+                     done(std::move(result));
+                   });
+           });
       return;
     }
 
@@ -152,45 +150,34 @@ class Node {
       // can answer the caller — exactly the hang the timeout exists for.
       return;
     }
-    auto task = [this, injector, decision, guard,
-                 fn = std::forward<F>(fn)]() mutable {
-      RpcSourceScope source(name_);
-      AsyncResult<R> result;
-      try {
-        ChargeHop(latency_, seed_, decision.latency_multiplier,
-                  decision.added_latency_micros);  // request transit
-        if (failed_.load(std::memory_order_acquire)) {
-          throw NodeFailedError(name_);
-        }
-        if constexpr (std::is_void_v<R>) {
-          fn();
-        } else {
-          result.value.emplace(fn());
-        }
-        ChargeHop(latency_, seed_ ^ 1, decision.latency_multiplier,
-                  decision.added_latency_micros);  // response transit
-      } catch (...) {
-        result.error = std::current_exception();
-      }
-      if (decision.drop_reply) {
-        // The work ran (side effects applied) but the caller hears nothing.
-        if (injector != nullptr) injector->OnReplyDropped();
-        return;
-      }
-      if (decision.duplicate_reply) {
-        if constexpr (std::is_void_v<R> || std::is_copy_constructible_v<R>) {
-          AsyncResult<R> duplicate = result;
-          DeliverAndCancelTimer(*guard, std::move(result));
-          if (!guard->Deliver(std::move(duplicate)) && injector != nullptr) {
-            injector->OnDuplicateSuppressed();
-          }
-          return;
-        }
-      }
-      DeliverAndCancelTimer(*guard, std::move(result));
-    };
-    auto shared = std::make_shared<decltype(task)>(std::move(task));
-    if (!pool_.Submit([shared] { (*shared)(); })) (*shared)();
+    Post(decision.ScaleHop(request_hops_.Next(latency_)),
+         [this, injector, decision, guard, fn = std::forward<F>(fn)]() mutable {
+           RpcSourceScope source(name_);
+           AsyncResult<R> result = Execute<R>(fn);
+           if (decision.drop_reply) {
+             // The work ran (side effects applied) but the caller hears
+             // nothing.
+             if (injector != nullptr) injector->OnReplyDropped();
+             return;
+           }
+           Reply(decision.ScaleHop(reply_hops_.Next(latency_)),
+                 [injector, decision, guard,
+                  result = std::move(result)]() mutable {
+                   if (decision.duplicate_reply) {
+                     if constexpr (std::is_void_v<R> ||
+                                   std::is_copy_constructible_v<R>) {
+                       AsyncResult<R> duplicate = result;
+                       DeliverAndCancelTimer(*guard, std::move(result));
+                       if (!guard->Deliver(std::move(duplicate)) &&
+                           injector != nullptr) {
+                         injector->OnDuplicateSuppressed();
+                       }
+                       return;
+                     }
+                   }
+                   DeliverAndCancelTimer(*guard, std::move(result));
+                 });
+         });
   }
 
   // Span-aware InvokeAsync: `fn(span)` runs under a child span of `parent`
@@ -309,9 +296,58 @@ class Node {
   const LatencyModel& latency() const { return latency_; }
 
  private:
+  // Runs `task` on this node's pool once `delay_micros` of wire time have
+  // passed. The shared_ptr wrapper lets move-only captures through
+  // std::function, and lets a failed SubmitAfter (pool shut down) still run
+  // the task, inline.
+  template <typename Task>
+  void Post(Micros delay_micros, Task&& task) {
+    auto shared =
+        std::make_shared<std::decay_t<Task>>(std::forward<Task>(task));
+    if (!pool_.SubmitAfter(delay_micros, [shared] { (*shared)(); })) {
+      (*shared)();
+    }
+  }
+
+  // Response transit: `deliver` runs on this node's pool after the reply
+  // hop, or right away on the calling pool thread when the hop is zero.
+  template <typename Deliver>
+  void Reply(Micros delay_micros, Deliver&& deliver) {
+    if (delay_micros <= 0) {
+      deliver();
+      return;
+    }
+    Post(delay_micros,
+         [this, deliver = std::forward<Deliver>(deliver)]() mutable {
+           RpcSourceScope source(name_);
+           deliver();
+         });
+  }
+
+  // Callee side of one RPC: NodeFailedError while failed() is set,
+  // otherwise `fn`'s value or exception.
+  template <typename R, typename F>
+  AsyncResult<R> Execute(F& fn) {
+    AsyncResult<R> result;
+    try {
+      if (failed_.load(std::memory_order_acquire)) {
+        throw NodeFailedError(name_);
+      }
+      if constexpr (std::is_void_v<R>) {
+        fn();
+      } else {
+        result.value.emplace(fn());
+      }
+    } catch (...) {
+      result.error = std::current_exception();
+    }
+    return result;
+  }
+
   std::string name_;
   LatencyModel latency_;
-  std::uint64_t seed_;
+  HopStream request_hops_;
+  HopStream reply_hops_;
   std::atomic<bool> failed_{false};
   std::atomic<FaultInjector*> fault_injector_{nullptr};
   ThreadPool pool_;

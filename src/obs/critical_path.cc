@@ -138,9 +138,9 @@ CriticalPathReport ComputeCriticalPath(std::vector<SpanRecord> spans) {
 CriticalPathReport CriticalPathFromFlightRecord(const FlightRecord& record) {
   CriticalPathReport report;
   static constexpr FlightStage kChronological[] = {
-      FlightStage::kQueueWait, FlightStage::kExtract, FlightStage::kFilter,
-      FlightStage::kIo,        FlightStage::kScan,    FlightStage::kHedgeWait,
-      FlightStage::kFanIn,     FlightStage::kRank,
+      FlightStage::kWire,      FlightStage::kQueueWait, FlightStage::kExtract,
+      FlightStage::kFilter,    FlightStage::kIo,        FlightStage::kScan,
+      FlightStage::kHedgeWait, FlightStage::kFanIn,     FlightStage::kRank,
   };
   Micros at = record.start_micros;
   for (const FlightStage stage : kChronological) {
@@ -158,9 +158,25 @@ CriticalPathAggregator::CriticalPathAggregator(const TraceSink* sink,
                                                Registry* registry)
     : sink_(sink), registry_(registry) {}
 
-CriticalPathReport CriticalPathAggregator::Observe(std::uint64_t trace_id) {
+CriticalPathReport CriticalPathAggregator::Observe(std::uint64_t trace_id,
+                                                   const FlightRecord* record) {
   if (sink_ == nullptr || trace_id == 0) return {};
   CriticalPathReport report = ComputeCriticalPath(sink_->SpansFor(trace_id));
+  if (record != nullptr && !report.empty()) {
+    std::vector<CriticalPathSegment> lead_in;
+    Micros at = record->start_micros;
+    for (const FlightStage stage :
+         {FlightStage::kWire, FlightStage::kQueueWait}) {
+      const Micros micros = record->stage(stage);
+      if (micros <= 0) continue;
+      lead_in.push_back(
+          CriticalPathSegment{FlightStageName(stage), {}, at, micros});
+      at += micros;
+      report.total_micros += micros;
+    }
+    report.segments.insert(report.segments.begin(), lead_in.begin(),
+                           lead_in.end());
+  }
   Fold(report);
   return report;
 }
@@ -192,10 +208,10 @@ std::string RenderCriticalPathTable(const Registry& registry) {
   // The aggregator folds both span names (sampled traces) and flight-stage
   // names (flight records); probe the union of known stages.
   static constexpr const char* kStages[] = {
-      "query",      "extract",       "broker.search", "searcher.scan",
-      "rank",       "rt.apply",      "queue_wait",    "broker_fanout",
-      "searcher_filter", "searcher_io", "searcher_scan", "hedge_wait",
-      "fan_in",
+      "query",         "extract",         "broker.search", "searcher.scan",
+      "rank",          "rt.apply",        "wire",          "queue_wait",
+      "broker_fanout", "searcher_filter", "searcher_io",   "searcher_scan",
+      "hedge_wait",    "fan_in",
   };
   struct Row {
     const char* stage;

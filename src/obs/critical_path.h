@@ -58,7 +58,7 @@ struct CriticalPathReport {
 CriticalPathReport ComputeCriticalPath(std::vector<SpanRecord> spans);
 
 // Blender-level decomposition of an (unsampled) flight-recorder entry:
-// queue wait -> extract -> scan -> hedge wait -> fan-in -> rank. Zero
+// wire -> queue wait -> extract -> scan -> hedge wait -> fan-in -> rank. Zero
 // stages are omitted; kFanOut is skipped since its decomposition is used.
 CriticalPathReport CriticalPathFromFlightRecord(const FlightRecord& record);
 
@@ -69,8 +69,11 @@ class CriticalPathAggregator {
  public:
   CriticalPathAggregator(const TraceSink* sink, Registry* registry);
 
-  // Computes + folds the critical path of one sampled trace.
-  CriticalPathReport Observe(std::uint64_t trace_id);
+  // Computes + folds the critical path of one sampled trace. With `record`
+  // (the query's flight record), the lead-in before the root span -- the
+  // front-end hop (wire) and the blender queue wait -- is folded too.
+  CriticalPathReport Observe(std::uint64_t trace_id,
+                             const FlightRecord* record = nullptr);
   // Folds an already-computed report (e.g. from a flight record).
   void Fold(const CriticalPathReport& report);
 

@@ -26,6 +26,8 @@ const char* FlightStageName(FlightStage stage) {
       return "searcher_filter";
     case FlightStage::kIo:
       return "searcher_io";
+    case FlightStage::kWire:
+      return "wire";
   }
   return "unknown";
 }

@@ -32,7 +32,7 @@ class Counter;
 // dispatch gap on hedge wins, fan-in the remainder: dispatch, merge and
 // queue time inside the fan-out).
 enum class FlightStage : std::uint8_t {
-  kQueueWait = 0,  // admission + blender pool queue + front-end hop
+  kQueueWait = 0,  // blender pool queue wait, after the front-end hop
   kExtract,
   kFanOut,
   kScan,
@@ -49,8 +49,12 @@ enum class FlightStage : std::uint8_t {
   // kFilter + kIo + kScan still equals the slowest winning attempt. Also
   // appended at the end for persisted-array compatibility.
   kIo,
+  // Front-end hop into the blender: submit to the due time of the blender
+  // task (ThreadPool::CurrentTaskDueMicros), so kWire + kQueueWait is the
+  // whole submit-to-start gap. Appended at the end like kFilter and kIo.
+  kWire,
 };
-inline constexpr std::size_t kNumFlightStages = 9;
+inline constexpr std::size_t kNumFlightStages = 10;
 const char* FlightStageName(FlightStage stage);
 
 struct FlightRecord {

@@ -197,9 +197,17 @@ void Blender::SearchAsync(const QueryImage& query, const QueryOptions& options,
 void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
                          const QueryImage& query) {
   state->watch.Restart();  // response time excludes queue/hop, as before
-  state->flight.set_stage(
-      obs::FlightStage::kQueueWait,
-      MonotonicClock::Instance().NowMicros() - state->submitted_micros);
+  // The front-end hop ends at this task's due time; the rest of the
+  // submit-to-start gap is blender pool queue wait. A task run inline (pool
+  // shut down) has no due time and counts it all as queue wait.
+  const Micros now = MonotonicClock::Instance().NowMicros();
+  const Micros due = ThreadPool::CurrentTaskDueMicros();
+  const Micros arrived =
+      due > 0 ? std::clamp(due, state->submitted_micros, now)
+              : state->submitted_micros;
+  state->flight.set_stage(obs::FlightStage::kWire,
+                          arrived - state->submitted_micros);
+  state->flight.set_stage(obs::FlightStage::kQueueWait, now - arrived);
   // Sampled 1-in-N by the tracer; an unsampled root makes every child span
   // below (extract, broker fan-out, searcher scans, rank) a no-op.
   state->root = tracer_->StartTrace("query", node_.name());
@@ -510,8 +518,10 @@ void Blender::FinishQuery(const std::shared_ptr<RequestState>& state,
   }
   if (config_.critical_paths != nullptr && state->response.trace_id != 0) {
     // Sampled query: fold its critical path into the per-stage histograms
-    // (the spans are complete now that the root finished).
-    config_.critical_paths->Observe(state->response.trace_id);
+    // (the spans are complete now that the root finished), led in by the
+    // front-end hop and queue wait that precede the root span.
+    config_.critical_paths->Observe(state->response.trace_id,
+                                    &state->flight);
   }
   state->Fulfill(std::move(state->response));
 }

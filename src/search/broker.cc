@@ -335,7 +335,7 @@ void Broker::StartFanOut(std::shared_ptr<FanOutState> state) {
                         std::make_exception_ptr(NoHealthyBackendError())));
       continue;
     }
-    TryDispatchNext(state, slot_idx, /*is_hedge=*/false);
+    TryDispatchNext(state, slot_idx, Attempt::kPrimary);
     // Arm the hedge alongside the primary. The timer checks the deadline
     // and the rate cap when it fires; a slot that completes first cancels
     // it. No point hedging a single-replica slot — there is no sibling.
@@ -388,17 +388,26 @@ bool Broker::HedgeBudgetAllows() const {
   return hedged < config_.hedge_rate_cap * primaries;
 }
 
-bool Broker::TryDispatchNext(const std::shared_ptr<FanOutState>& state,
-                             std::size_t slot_idx, bool is_hedge) {
+void Broker::TryDispatchNext(const std::shared_ptr<FanOutState>& state,
+                             std::size_t slot_idx, Attempt attempt) {
   Slot& slot = state->slots[slot_idx];
   const std::size_t idx =
       slot.next_candidate.fetch_add(1, std::memory_order_acq_rel);
-  if (idx >= slot.candidates.size()) return false;
+  if (idx >= slot.candidates.size()) return;
   const std::size_t partition = state->slot_partition[slot_idx];
   const std::size_t replica = slot.candidates[idx];
   slot.outstanding.fetch_add(1, std::memory_order_acq_rel);
-  if (!is_hedge) {
+  const bool is_hedge = attempt == Attempt::kHedge;
+  if (is_hedge) {
+    hedges_.fetch_add(1, std::memory_order_relaxed);
+    hedges_total_->Increment();
+  } else {
     primary_dispatches_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (attempt == Attempt::kFailover) {
+    state->failovers.fetch_add(1, std::memory_order_relaxed);
+    failovers_.fetch_add(1, std::memory_order_relaxed);
+    failovers_total_->Increment();
   }
   const Micros dispatched_at = MonotonicClock::Instance().NowMicros();
   Micros expected_first = 0;
@@ -418,7 +427,6 @@ bool Broker::TryDispatchNext(const std::shared_ptr<FanOutState>& state,
       },
       config_.rpc_timeout_micros, &state->filter_micros, &state->io_micros,
       &state->tier_degraded);
-  return true;
 }
 
 void Broker::MaybeHedge(const std::shared_ptr<FanOutState>& state,
@@ -433,10 +441,7 @@ void Broker::MaybeHedge(const std::shared_ptr<FanOutState>& state,
     hedges_capped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (TryDispatchNext(state, slot_idx, /*is_hedge=*/true)) {
-    hedges_.fetch_add(1, std::memory_order_relaxed);
-    hedges_total_->Increment();
-  }
+  TryDispatchNext(state, slot_idx, Attempt::kHedge);
 }
 
 void Broker::OnAttemptResult(const std::shared_ptr<FanOutState>& state,
@@ -501,11 +506,8 @@ void Broker::OnAttemptResult(const std::shared_ptr<FanOutState>& state,
     std::lock_guard lock(slot.error_mu);
     slot.last_error = result.error;
   }
-  if (!slot.completed.load(std::memory_order_acquire) &&
-      TryDispatchNext(state, slot_idx, /*is_hedge=*/false)) {
-    state->failovers.fetch_add(1, std::memory_order_relaxed);
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-    failovers_total_->Increment();
+  if (!slot.completed.load(std::memory_order_acquire)) {
+    TryDispatchNext(state, slot_idx, Attempt::kFailover);
   }
   // Ordering matters: the failover dispatch (if any) bumped `outstanding`
   // before this decrement, so dropping to zero really means no attempt is

@@ -206,10 +206,13 @@ class Broker {
   struct Slot;
 
   void StartFanOut(std::shared_ptr<FanOutState> state);
+  enum class Attempt { kPrimary, kFailover, kHedge };
   // Dispatches the slot's next untried candidate (primary, failover or
-  // hedge — they all drain the same list). False when none remain.
-  bool TryDispatchNext(const std::shared_ptr<FanOutState>& state,
-                       std::size_t slot_idx, bool is_hedge);
+  // hedge — they all drain the same list); a no-op when none remain. A
+  // failover or hedge is counted before its RPC leaves, so the reply it
+  // produces can never be observed ahead of the count.
+  void TryDispatchNext(const std::shared_ptr<FanOutState>& state,
+                       std::size_t slot_idx, Attempt attempt);
   void OnAttemptResult(const std::shared_ptr<FanOutState>& state,
                        std::size_t slot_idx, std::size_t replica,
                        bool is_hedge, Micros dispatched_at,

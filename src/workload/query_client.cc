@@ -221,7 +221,10 @@ OpenLoopResult QueryClient::RunOpenLoop() {
     options.priority = config_.priority;
     ++offered;
     shared->outstanding.fetch_add(1, std::memory_order_acq_rel);
-    const Micros q_start = clock.NowMicros();
+    // Latency counts from the due time, not from dispatch: a query the
+    // generator sent late (a stall, a slow dispatch ahead of it) waited
+    // that long from the client's point of view.
+    const Micros q_start = at;
     cluster_.front_end().Next().SearchAsync(
         query, options,
         [shared, q_start](AsyncResult<QueryResponse> outcome) {

@@ -3,7 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -316,6 +319,81 @@ TEST(ThreadPoolTest, SubmitWithResultAfterShutdownRunsInline) {
   pool.Shutdown();
   auto f = pool.SubmitWithResult([] { return 7; });
   EXPECT_EQ(f.get(), 7);
+}
+
+TEST(ThreadPoolTest, SubmitAfterRunsTasksInDueOrder) {
+  ThreadPool pool(1, "test");
+  std::mutex mu;
+  std::vector<int> order;
+  auto record = [&](int tag) {
+    return [&, tag] {
+      std::lock_guard lock(mu);
+      order.push_back(tag);
+    };
+  };
+  ASSERT_TRUE(pool.SubmitAfter(30'000, record(30)));
+  ASSERT_TRUE(pool.SubmitAfter(10'000, record(10)));
+  ASSERT_TRUE(pool.SubmitAfter(20'000, record(20)));
+  ASSERT_TRUE(pool.Submit(record(0)));
+  const Micros deadline = MonotonicClock::Instance().NowMicros() + 5'000'000;
+  while (pool.pending() > 0 &&
+         MonotonicClock::Instance().NowMicros() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  pool.Shutdown();
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 20, 30}));
+}
+
+TEST(ThreadPoolTest, DelayedTaskDoesNotHoldTheWorker) {
+  // One worker, one task 200 ms out: the delay waits in the heap, so an
+  // undelayed task submitted behind it runs at once.
+  ThreadPool pool(1, "test");
+  std::atomic<bool> delayed_ran{false};
+  ASSERT_TRUE(pool.SubmitAfter(200'000, [&] { delayed_ran.store(true); }));
+  const Micros start = MonotonicClock::Instance().NowMicros();
+  auto now = pool.SubmitWithResult(
+      [] { return MonotonicClock::Instance().NowMicros(); });
+  EXPECT_LT(now.get() - start, 50'000);
+  EXPECT_FALSE(delayed_ran.load());
+  pool.Shutdown();
+  EXPECT_TRUE(delayed_ran.load());
+}
+
+TEST(ThreadPoolTest, ShutdownRunsTasksNotYetDue) {
+  ThreadPool pool(2, "test");
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pool.SubmitAfter(10'000'000, [&ran] { ran.fetch_add(1); }));
+  }
+  const Micros start = MonotonicClock::Instance().NowMicros();
+  pool.Shutdown();
+  EXPECT_EQ(ran.load(), 10);
+  // The drain did not wait out the 10 s delays.
+  EXPECT_LT(MonotonicClock::Instance().NowMicros() - start, 1'000'000);
+  EXPECT_FALSE(pool.SubmitAfter(1'000, [] {}));
+}
+
+TEST(ThreadPoolTest, QueueWaitIsMeasuredFromTheDueTime) {
+  ThreadPool pool(1, "test");
+  Histogram wait;
+  pool.set_queue_wait_histogram(&wait);
+  EXPECT_EQ(ThreadPool::CurrentTaskDueMicros(), 0);
+  const Micros submitted = MonotonicClock::Instance().NowMicros();
+  auto due = pool.SubmitWithResult([] { return Micros{0}; });
+  due.get();
+  std::promise<Micros> delayed_due;
+  ASSERT_TRUE(pool.SubmitAfter(50'000, [&] {
+    delayed_due.set_value(ThreadPool::CurrentTaskDueMicros());
+  }));
+  const Micros observed_due = delayed_due.get_future().get();
+  pool.Shutdown();
+  // The running task sees its own due time: submit time + delay.
+  EXPECT_GE(observed_due, submitted + 50'000);
+  EXPECT_LT(observed_due, submitted + 50'000 + 1'000'000);
+  // An idle worker picked the 50 ms task up at its due time: the delay is
+  // not queue wait (counted from submit, it would be >= 50 ms).
+  EXPECT_EQ(wait.Count(), 2u);
+  EXPECT_LT(wait.Max(), 50'000);
 }
 
 TEST(SpinLockTest, MutualExclusion) {

@@ -201,6 +201,44 @@ TEST(DiagnosisTest, SampledQueriesFeedCriticalPathAndSlowLog) {
   cluster.Stop();
 }
 
+// The blender's submit-to-start gap splits into the front-end hop (kWire,
+// up to the blender task's due time) and pool queue wait (kQueueWait, after
+// it). Their sum is the old lumped queue-wait figure: the gap between the
+// flight record's submit time and the start of the query's root span.
+TEST(DiagnosisTest, WireAndQueueWaitSplitTheLeadIn) {
+  ClusterConfig config = SmallClusterConfig();
+  config.trace_sample_every = 1;
+  config.hop_latency = {.base_micros = 2'000, .jitter_median_micros = 0};
+  VisualSearchCluster cluster(config);
+  Populate(cluster);
+  ASSERT_NE(cluster.flight_recorder(), nullptr);
+  for (std::size_t i = 0; i < 6; ++i) RunQuery(cluster, i);
+
+  const auto records = cluster.flight_recorder()->Snapshot();
+  ASSERT_EQ(records.size(), 6u);
+  for (const obs::FlightRecord& record : records) {
+    ASSERT_NE(record.trace_id, 0u);
+    Micros root_start = -1;
+    for (const auto& span : cluster.trace_sink().SpansFor(record.trace_id)) {
+      if (span.parent_span_id == 0) root_start = span.start_micros;
+    }
+    ASSERT_GE(root_start, record.start_micros);
+    const Micros lumped = root_start - record.start_micros;
+    const Micros wire = record.stage(obs::FlightStage::kWire);
+    const Micros queue = record.stage(obs::FlightStage::kQueueWait);
+    // The 2 ms front-end hop is wire time, not queue wait.
+    EXPECT_GE(wire, 2'000);
+    // Clock tolerance: the root span's clock read comes a few instructions
+    // later (more if the thread is preempted in between on a loaded host).
+    EXPECT_LE(wire + queue, lumped);
+    EXPECT_LE(lumped - (wire + queue), 5'000);
+  }
+  // The critical-path table carries the wire row.
+  const std::string table = obs::RenderCriticalPathTable(cluster.registry());
+  EXPECT_NE(table.find("wire"), std::string::npos) << table;
+  cluster.Stop();
+}
+
 // The recorder's kill switch makes the whole layer inert (the overhead
 // bench's baseline), and re-enabling resumes recording.
 TEST(DiagnosisTest, RecorderKillSwitch) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <set>
 #include <thread>
 #include <vector>
@@ -88,6 +89,55 @@ TEST(LatencyModelTest, JitterMedianApproximatelyRight) {
   std::sort(samples.begin(), samples.end());
   const double median = static_cast<double>(samples[samples.size() / 2]);
   EXPECT_NEAR(median, 1000.0, 100.0);
+}
+
+TEST(HopStreamTest, SequenceIsAFunctionOfSeedAndStream) {
+  const LatencyModel model{
+      .base_micros = 100, .jitter_median_micros = 200, .sigma = 0.5};
+  auto draw = [&model](HopStream& stream) {
+    std::vector<std::int64_t> out;
+    for (int i = 0; i < 32; ++i) out.push_back(stream.Next(model));
+    return out;
+  };
+  HopStream a(42, 0);
+  HopStream same(42, 0);
+  HopStream other_seed(43, 0);
+  HopStream reply(42, 1);
+  const auto seq = draw(a);
+  EXPECT_EQ(seq, draw(same));
+  EXPECT_NE(seq, draw(other_seed));
+  EXPECT_NE(seq, draw(reply));
+  // Drawing from another thread continues the same sequence.
+  HopStream split(42, 0);
+  std::vector<std::int64_t> halves;
+  for (int i = 0; i < 16; ++i) halves.push_back(split.Next(model));
+  std::thread([&] {
+    for (int i = 0; i < 16; ++i) halves.push_back(split.Next(model));
+  }).join();
+  EXPECT_EQ(seq, halves);
+  HopStream zero(42, 0);
+  EXPECT_EQ(zero.Next(LatencyModel{}), 0);
+}
+
+TEST(NodeTest, WireTimeDoesNotHoldAWorker) {
+  // One worker, 5 ms per hop each way. Charged as sleeps on the worker, 8
+  // concurrent calls would take 8 x 10 ms; as due times in the delay queue
+  // they overlap and finish in about one round trip.
+  constexpr int kCalls = 8;
+  std::atomic<int> done{0};
+  std::promise<void> all_done;
+  Node node("wire", 1, LatencyModel{.base_micros = 5'000});
+  const Micros start = MonotonicClock::Instance().NowMicros();
+  for (int i = 0; i < kCalls; ++i) {
+    node.InvokeAsync([i] { return i; }, [&](AsyncResult<int> result) {
+      EXPECT_TRUE(result.ok());
+      if (done.fetch_add(1) + 1 == kCalls) all_done.set_value();
+    });
+  }
+  all_done.get_future().wait();
+  const Micros elapsed = MonotonicClock::Instance().NowMicros() - start;
+  EXPECT_GE(elapsed, 10'000);
+  EXPECT_LT(elapsed, 40'000);
 }
 
 TEST(NodeTest, InvokeRunsOnNodePool) {

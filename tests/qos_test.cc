@@ -555,5 +555,30 @@ TEST(QosWorkloadTest, OpenLoopOverloadAccountingBalances) {
   EXPECT_LE(result.goodput_qps, result.completed_qps + 1e-9);
 }
 
+// Open-loop latency counts from each query's due time, so a generator
+// stall is charged to the queries behind it. With the blender's pool shut
+// down, every dispatch runs the blender's first stage (a 20 ms extraction)
+// inline on the generator thread: each query stalls the generator, which
+// falls further behind its Poisson schedule with every dispatch.
+TEST(QosWorkloadTest, OpenLoopChargesGeneratorStallToQueriesBehindIt) {
+  ClusterConfig config = SmallConfig();
+  config.num_blenders = 1;
+  config.query_extraction_micros = 20'000;
+  auto cluster = MakeCluster(config);
+  cluster->blender(0).node().pool().Shutdown();
+  QueryWorkloadConfig qc;
+  qc.arrival_qps = 200.0;
+  qc.duration_micros = 100'000;
+  QueryClient client(*cluster, qc);
+  const OpenLoopResult result = client.RunOpenLoop();
+  ASSERT_GE(result.offered, 10u);
+  ASSERT_EQ(result.completed, result.offered);
+  // The last query was due inside the 100 ms window but dispatched only
+  // after every earlier query's 20 ms stall.
+  const Micros stall =
+      static_cast<Micros>(result.offered - 1) * 20'000 - 100'000;
+  EXPECT_GE(result.latency_micros->Max(), stall);
+}
+
 }  // namespace
 }  // namespace jdvs
