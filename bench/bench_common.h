@@ -182,8 +182,8 @@ struct TestbedOptions {
   std::size_t num_brokers = 3;
   std::size_t num_blenders = 3;
   bool realtime = true;
-  // Query-side CNN cost; the dominant per-query service time, sized so the
-  // simulated testbed saturates near the paper's ~1800 QPS.
+  // Query-side CNN cost: simulated GPU time, the largest share of a query's
+  // latency. It holds no blender thread, so it sets latency, not capacity.
   std::int64_t query_extraction_micros = 10'000;
   std::int64_t searcher_threads = 2;
   std::int64_t blender_threads = 6;

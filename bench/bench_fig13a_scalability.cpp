@@ -4,9 +4,10 @@
 // client threads from 1 to 35; throughput rises with offered load and
 // saturates around ~1800 QPS (~155M searches/day).
 //
-// Reproduction: the simulated testbed sized so that its aggregate query-side
-// service capacity (3 blenders x 6 threads / 10ms extraction) also saturates
-// near 1800 QPS, then a closed-loop client sweep over 1..35 threads.
+// Reproduction: the simulated testbed (3 blenders, 3 brokers, 20 searchers,
+// 10 ms query-side extraction), then a closed-loop client sweep over 1..35
+// threads. Extraction is simulated GPU time that holds no blender thread,
+// so the sweep saturates where the host's CPU does (see EXPERIMENTS.md).
 #include <cstdio>
 
 #include "bench_common.h"

@@ -3,9 +3,9 @@
 // Paper: the CDF of query response times at maximum throughput; the 99th
 // percentile is 0.3s and the maximum observed response time is 2.1s.
 //
-// Reproduction: run the testbed at the saturating offered load (35 closed-
-// loop client threads, past the Figure 13(a) knee) and dump the response
-// time CDF plus the headline percentiles.
+// Reproduction: run the testbed at the paper's top load (35 closed-loop
+// client threads, where the host's CPU saturates in Figure 13(a)) and dump
+// the response time CDF plus the headline percentiles.
 #include <cstdio>
 #include <iostream>
 
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   auto cluster = BuildTestbed(options);
 
   QueryWorkloadConfig qc;
-  qc.num_threads = 35;  // past the saturation knee of Figure 13(a)
+  qc.num_threads = 35;  // the top of Figure 13(a)'s sweep
   qc.duration_micros = 8'000'000;
   QueryClient client(*cluster, qc);
   const QueryWorkloadResult result = client.Run();

@@ -42,9 +42,9 @@ TestbedOptions OverloadOptions() {
   options.num_brokers = 2;
   options.num_blenders = 2;
   options.blender_threads = 3;
-  // 2 blenders x 3 threads / 5 ms extraction ~= 1200 QPS service capacity:
-  // small enough that a single open-loop dispatcher thread can comfortably
-  // pace 3x past it.
+  // Extraction (5 ms of simulated GPU time) holds no blender thread, so the
+  // service ceiling is the host's CPU: ~7.5-9.5k QPS on a 4-core host,
+  // which a single open-loop dispatcher thread still paces 3x past.
   options.query_extraction_micros = 5'000;
   return options;
 }
@@ -52,8 +52,8 @@ TestbedOptions OverloadOptions() {
 ClusterConfig OverloadConfig(bool qos, Micros budget_micros) {
   ClusterConfig config = MakeTestbedConfig(OverloadOptions());
   if (qos) {
-    // Bound the queue: ~32 in flight per blender against ~600 QPS/blender
-    // keeps worst-case queue wait near half the SLO.
+    // Bound the queue: 32 in flight per blender is about what each blender
+    // carries near saturation, so excess is shed rather than queued.
     config.blender_max_in_flight = 32;
     // Budget == SLO by default: a query that can no longer answer in time is
     // cancelled at the next tier boundary instead of scanned for nobody.
@@ -158,16 +158,25 @@ int main(int argc, char** argv) {
       "Overload: open-loop Poisson arrivals past saturation, QoS on vs off",
       "admission + deadlines + degradation bound p99 and protect goodput");
 
-  // Calibrate the saturation point closed-loop: many users, short window.
-  std::printf("calibrating saturation (closed-loop, 32 threads)...\n");
-  double saturation_qps;
+  // Calibrate the saturation point open-loop: raise Poisson arrivals 25% a
+  // step until p99 breaks the SLO; the last rate that held is saturation. A
+  // closed loop would measure its own users / latency instead (32 users
+  // reach about a third of this cluster's ceiling).
+  std::printf("calibrating saturation (open-loop ramp, x1.25 per 1 s step)"
+              "...\n");
+  double saturation_qps = 0;
   {
     auto cluster = BuildOverloadCluster(/*qos=*/false);
-    QueryWorkloadConfig qc;
-    qc.num_threads = 32;
-    qc.duration_micros = 1'500'000;
-    QueryClient client(*cluster, qc);
-    saturation_qps = client.Run().qps;
+    for (double rate = 1'000; rate < 100'000; rate *= 1.25) {
+      QueryWorkloadConfig qc;
+      qc.arrival_qps = rate;
+      qc.duration_micros = 1'000'000;
+      qc.slo_micros = kSloMicros;
+      qc.drain_timeout_micros = 15'000'000;
+      QueryClient client(*cluster, qc);
+      if (client.RunOpenLoop().latency_micros->P99() > kSloMicros) break;
+      saturation_qps = rate;
+    }
     cluster->Stop();
   }
   std::printf("saturation ~= %.0f QPS; SLO %lld ms; 2 s of Poisson arrivals "

@@ -138,9 +138,11 @@ CriticalPathReport ComputeCriticalPath(std::vector<SpanRecord> spans) {
 CriticalPathReport CriticalPathFromFlightRecord(const FlightRecord& record) {
   CriticalPathReport report;
   static constexpr FlightStage kChronological[] = {
-      FlightStage::kWire,      FlightStage::kQueueWait, FlightStage::kExtract,
-      FlightStage::kFilter,    FlightStage::kIo,        FlightStage::kScan,
-      FlightStage::kHedgeWait, FlightStage::kFanIn,     FlightStage::kRank,
+      FlightStage::kWire,      FlightStage::kQueueWait,
+      FlightStage::kExtract,   FlightStage::kFanOutWait,
+      FlightStage::kFilter,    FlightStage::kIo,
+      FlightStage::kScan,      FlightStage::kHedgeWait,
+      FlightStage::kFanIn,     FlightStage::kRank,
   };
   Micros at = record.start_micros;
   for (const FlightStage stage : kChronological) {
@@ -211,7 +213,7 @@ std::string RenderCriticalPathTable(const Registry& registry) {
       "query",         "extract",         "broker.search", "searcher.scan",
       "rank",          "rt.apply",        "wire",          "queue_wait",
       "broker_fanout", "searcher_filter", "searcher_io",   "searcher_scan",
-      "hedge_wait",    "fan_in",
+      "hedge_wait",    "fan_in",          "fanout_wait",
   };
   struct Row {
     const char* stage;

@@ -58,8 +58,9 @@ struct CriticalPathReport {
 CriticalPathReport ComputeCriticalPath(std::vector<SpanRecord> spans);
 
 // Blender-level decomposition of an (unsampled) flight-recorder entry:
-// wire -> queue wait -> extract -> scan -> hedge wait -> fan-in -> rank. Zero
-// stages are omitted; kFanOut is skipped since its decomposition is used.
+// wire -> queue wait -> extract -> fan-out wait -> scan -> hedge wait ->
+// fan-in -> rank. Zero stages are omitted; kFanOut is skipped since its
+// decomposition is used.
 CriticalPathReport CriticalPathFromFlightRecord(const FlightRecord& record);
 
 // Folds per-stage critical-path time into `jdvs_critical_path_micros`

@@ -28,6 +28,8 @@ const char* FlightStageName(FlightStage stage) {
       return "searcher_io";
     case FlightStage::kWire:
       return "wire";
+    case FlightStage::kFanOutWait:
+      return "fanout_wait";
   }
   return "unknown";
 }

@@ -53,8 +53,13 @@ enum class FlightStage : std::uint8_t {
   // task (ThreadPool::CurrentTaskDueMicros), so kWire + kQueueWait is the
   // whole submit-to-start gap. Appended at the end like kFilter and kIo.
   kWire,
+  // Between extraction and the broker fan-out: blender pool wait after the
+  // extraction's due time and time in the fan-out window's FIFO (plus the
+  // cache lookup in between). kExtract covers the extraction alone.
+  // Appended like kWire.
+  kFanOutWait,
 };
-inline constexpr std::size_t kNumFlightStages = 10;
+inline constexpr std::size_t kNumFlightStages = 11;
 const char* FlightStageName(FlightStage stage);
 
 struct FlightRecord {

@@ -1,5 +1,6 @@
 #include "obs/span.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "obs/trace.h"
@@ -62,9 +63,16 @@ void Span::SetError(std::string message) {
   record_.status = std::move(message);
 }
 
-void Span::Finish() {
+void Span::Finish() { FinishAgo(0); }
+
+void Span::MoveStartBack(Micros micros) {
+  if (sampled()) record_.start_micros -= std::max<Micros>(micros, 0);
+}
+
+void Span::FinishAgo(Micros micros) {
   if (!sampled()) return;
-  record_.end_micros = clock_->NowMicros();
+  record_.end_micros = std::max(
+      record_.start_micros, clock_->NowMicros() - std::max<Micros>(micros, 0));
   sink_->Record(std::move(record_));
   sink_ = nullptr;
 }

@@ -87,6 +87,12 @@ class Span {
   // Records the span into the sink; idempotent (the destructor calls it).
   void Finish();
 
+  // For a wait whose edges are known only after the fact (a delayed task
+  // learns its due time when it runs): move the start `micros` earlier, or
+  // finish with the end `micros` before now (never before the start).
+  void MoveStartBack(Micros micros);
+  void FinishAgo(Micros micros);
+
  private:
   friend class Tracer;
 

@@ -8,6 +8,17 @@
 #include "net/timeout.h"
 
 namespace jdvs {
+namespace {
+
+// Fan-outs one blender keeps outstanding. Extraction holds no worker, so
+// nothing else paces dispatch: without a window an overload backlog leaves
+// the blender's queue, where a waiting query costs almost nothing, and
+// lands in broker and searcher queues as half-served RPCs. 32 is the
+// request concurrency one blender must sustain through a single broker
+// thread; thread counts bound CPU concurrency, not request concurrency.
+constexpr std::size_t kMaxOutstandingFanOuts = 32;
+
+}  // namespace
 
 Blender::Blender(std::string name, const Config& config,
                  const SyntheticEmbedder& embedder,
@@ -104,9 +115,14 @@ struct Blender::RequestState {
   // covers admission + pool queue + hop (watch.Restart() excludes them
   // from the response time on purpose).
   Micros submitted_micros = 0;
+  Micros extract_started_micros = 0;
   Micros fanout_dispatched_micros = 0;
   obs::FlightRecord flight;
   obs::Span root;  // owned here so the trace spans every thread hop
+  obs::Span extract_span;      // open across the extraction's delay
+  obs::Span fanout_wait_span;  // extraction due time -> fan-out dispatch
+  FeatureVector feature;
+  std::size_t nprobe = 0;  // effective nprobe (degradation applied)
   QueryResponse response;
   CategoryId category_filter = kNoCategoryFilter;
   std::size_t fetch_k = 0;
@@ -191,9 +207,9 @@ void Blender::SearchAsync(const QueryImage& query, const QueryOptions& options,
       });
 }
 
-// Inline stages on a blender pool thread: trace root, extract, cache
-// lookup, then the broker fan-out dispatch. Returns as soon as the last
-// broker call is dispatched; everything downstream is continuations.
+// First stages on a blender pool thread: trace root, item detection, then
+// the extraction's simulated GPU time, which waits in the pool's delay heap
+// rather than on this thread. Posting it is the task's last action.
 void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
                          const QueryImage& query) {
   state->watch.Restart();  // response time excludes queue/hop, as before
@@ -226,36 +242,54 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
   state->response.trace_id = root.context().trace_id;
 
   // 1. Detect the item and identify its category (Section 2.4).
-  // 2. Extract the query photo's high-dimensional features, charging the
-  //    simulated CNN cost.
-  FeatureVector feature;
-  {
-    obs::Span extract = root.StartChild("extract", node_.name());
-    const Stopwatch extract_watch(MonotonicClock::Instance());
-    state->response.detected_category =
-        detector_.Detect(query.true_category, query.query_seed);
+  // 2. Extract the query photo's high-dimensional features: the simulated
+  //    CNN cost is a due time in this pool's delay heap (the GPU works, no
+  //    blender thread waits), and the feature read-out runs once it is due.
+  state->extract_span = root.StartChild("extract", node_.name());
+  state->extract_started_micros = MonotonicClock::Instance().NowMicros();
+  state->response.detected_category =
+      detector_.Detect(query.true_category, query.query_seed);
+  auto resume = [this, state, query] {
+    // No exception may escape onto the worker: the query fails instead.
+    try {
+      ResumeQuery(state, query, ThreadPool::CurrentTaskDueMicros());
+    } catch (...) {
+      state->Fail(std::current_exception());
+    }
+  };
+  if (!node_.pool().SubmitAfter(config_.query_extraction_micros, resume)) {
+    // Pool shut down: the caller pays the extraction inline.
     if (config_.query_extraction_micros > 0) {
       std::this_thread::sleep_for(
           std::chrono::microseconds(config_.query_extraction_micros));
     }
-    feature = embedder_.ExtractQuery(query.subject_product,
-                                     query.true_category, query.query_seed);
-    const Micros extract_micros = extract_watch.ElapsedMicros();
-    extract_stage_->Record(extract_micros);
-    state->flight.set_stage(obs::FlightStage::kExtract, extract_micros);
+    ResumeQuery(state, query, MonotonicClock::Instance().NowMicros());
   }
+}
+
+void Blender::ResumeQuery(const std::shared_ptr<RequestState>& state,
+                          const QueryImage& query,
+                          Micros extraction_due_micros) {
+  const Micros resumed = MonotonicClock::Instance().NowMicros();
+  const Micros due = std::clamp(extraction_due_micros,
+                                state->extract_started_micros, resumed);
+  // The extraction ends at its due time; the pool wait after it is fan-out
+  // wait, not extraction.
+  state->extract_span.FinishAgo(resumed - due);
+  obs::Span& root = state->root;
+  state->feature = embedder_.ExtractQuery(
+      query.subject_product, query.true_category, query.query_seed);
+  // Extraction: up to its due time, plus the feature read-out.
+  const Micros extract_micros =
+      due - state->extract_started_micros +
+      (MonotonicClock::Instance().NowMicros() - resumed);
+  extract_stage_->Record(extract_micros);
+  state->flight.set_stage(obs::FlightStage::kExtract, extract_micros);
 
   // Extraction (plus the queue time before it) may have eaten the whole
   // budget: give up before the expensive fan-out.
   if (state->deadline.Expired(MonotonicClock::Instance())) {
-    deadline_exceeded_->Increment();
-    root.AddTag("deadline_exceeded", std::uint64_t{1});
-    root.SetError("deadline exceeded");
-    root.Finish();
-    RecordFlight(*state, state->watch.ElapsedMicros(), /*error=*/true,
-                 /*cache_hit=*/false);
-    state->Fail(
-        std::make_exception_ptr(qos::DeadlineExceededError(node_.name())));
+    FailDeadline(*state);
     return;
   }
 
@@ -280,7 +314,7 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
           ? 0
           : config_.index_version->load(std::memory_order_relaxed);
   if (cache_) {
-    state->cache_key = cache_->KeyFor(feature, state->options.k,
+    state->cache_key = cache_->KeyFor(state->feature, state->options.k,
                                       state->options.nprobe,
                                       state->category_filter,
                                       state->options.filter);
@@ -308,31 +342,95 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
   //     recall for latency while the cluster is hot. Level 1 shrinks nprobe
   //     (each searcher scans fewer inverted lists); level 2 additionally
   //     skips attribute re-ranking and the over-fetch that feeds it.
-  std::size_t effective_nprobe = state->options.nprobe;
+  state->nprobe = state->options.nprobe;
   int level = config_.load_controller != nullptr
                   ? config_.load_controller->level()
                   : 0;
   level = std::min(level, 2);
   state->response.degradation_level = level;
   if (level >= 1) {
-    effective_nprobe =
+    state->nprobe =
         config_.degraded_nprobe > 0 ? config_.degraded_nprobe : 1;
     state->skip_rerank = level >= 2;
     degraded_level_[level - 1]->Increment();
     root.AddTag("degradation_level", static_cast<std::uint64_t>(level));
   }
 
-  // 3. "sends them to all the brokers" — parallel fan-out. Fetch more than k
-  //    from below so attribute re-ranking has candidates to work with
-  //    (unless re-ranking is degraded away). The last broker completion
-  //    re-posts the merge/rank leg to this blender's pool (local
-  //    continuation, not a network hop).
+  // Take a window slot, or wait in the FIFO for one. The fanout_wait span
+  // runs from the extraction's due time to the dispatch.
+  state->fanout_wait_span = root.StartChild("fanout_wait", node_.name());
+  state->fanout_wait_span.MoveStartBack(
+      MonotonicClock::Instance().NowMicros() - due);
+  {
+    std::lock_guard lock(window_mu_);
+    if (fanouts_outstanding_ >= kMaxOutstandingFanOuts) {
+      parked_.push_back(state);
+      return;
+    }
+    ++fanouts_outstanding_;
+  }
+  DispatchFanOut(state);
+}
+
+void Blender::ReleaseFanOutSlot() {
+  std::shared_ptr<RequestState> next;
+  {
+    std::lock_guard lock(window_mu_);
+    if (parked_.empty()) {
+      --fanouts_outstanding_;
+      return;
+    }
+    next = std::move(parked_.front());
+    parked_.pop_front();
+  }
+  // The slot passes straight to `next`; its fan-out leaves from this
+  // blender's pool (inline once the pool is shut down).
+  auto dispatch = [this, next] {
+    try {
+      // The deadline may have died in the FIFO: fail it without a fan-out.
+      if (next->deadline.Expired(MonotonicClock::Instance())) {
+        FailDeadline(*next);
+        ReleaseFanOutSlot();
+      } else {
+        DispatchFanOut(next);
+      }
+    } catch (...) {
+      next->Fail(std::current_exception());
+    }
+  };
+  if (!node_.pool().Submit(dispatch)) dispatch();
+}
+
+void Blender::FailDeadline(RequestState& state) {
+  deadline_exceeded_->Increment();
+  state.fanout_wait_span.Finish();
+  state.root.AddTag("deadline_exceeded", std::uint64_t{1});
+  state.root.SetError("deadline exceeded");
+  state.root.Finish();
+  RecordFlight(state, state.watch.ElapsedMicros(), /*error=*/true,
+               /*cache_hit=*/false);
+  state.Fail(std::make_exception_ptr(qos::DeadlineExceededError(node_.name())));
+}
+
+// 3. "sends them to all the brokers" — parallel fan-out. Fetch more than k
+//    from below so attribute re-ranking has candidates to work with (unless
+//    re-ranking is degraded away). The last broker completion gives the
+//    window slot back and re-posts the merge/rank leg to this blender's
+//    pool (local continuation, not a network hop).
+void Blender::DispatchFanOut(const std::shared_ptr<RequestState>& state) {
+  const Micros now = MonotonicClock::Instance().NowMicros();
+  state->fanout_wait_span.Finish();
+  state->flight.set_stage(
+      obs::FlightStage::kFanOutWait,
+      now - state->extract_started_micros -
+          state->flight.stage(obs::FlightStage::kExtract));
   state->fetch_k = state->skip_rerank ? state->options.k : state->options.k * 2;
   state->response.brokers_asked = brokers_.size();
-  state->fanout_dispatched_micros = MonotonicClock::Instance().NowMicros();
+  state->fanout_dispatched_micros = now;
   auto collector = FanInCollector<Broker::Reply>::Create(
       brokers_.size(),
       [this, state](std::vector<AsyncResult<Broker::Reply>> slots) {
+        ReleaseFanOutSlot();
         auto pending =
             std::make_shared<std::vector<AsyncResult<Broker::Reply>>>(
                 std::move(slots));
@@ -361,8 +459,8 @@ void Blender::BeginQuery(const std::shared_ptr<RequestState>& state,
       guard->timer_id.store(id, std::memory_order_release);
     }
     brokers_[b]->SearchAsync(
-        feature, state->fetch_k, effective_nprobe, state->category_filter,
-        state->options.filter, state->deadline, root.context(),
+        state->feature, state->fetch_k, state->nprobe, state->category_filter,
+        state->options.filter, state->deadline, state->root.context(),
         [guard](Broker::SearchResult result) {
           DeliverAndCancelTimer(*guard, std::move(result));
         });

@@ -6,19 +6,27 @@
 // the item, identify its category, run the CNN) happens here, charged via a
 // configurable extraction cost.
 //
-// Execution model: extract + cache lookup run inline on a blender pool
-// thread, then the broker fan-out, global merge, attribute ranking, cache
-// fill and span finish are continuations — the blender thread frees itself
-// after dispatching, broker results count down a FanInCollector, and the
-// merge/rank leg is re-posted to the blender pool by the last broker
-// completion. The public SearchAsync future is fulfilled by a promise at
-// the end of the chain; only the blocking Search() facade ever waits.
+// Execution model: no stage holds a blender pool thread while it waits.
+// The simulated GPU time of extraction waits in the pool's delay heap
+// (ThreadPool::SubmitAfter), like a message on the wire; the feature
+// read-out, cache lookup and the broker fan-out run as the continuation
+// once it is due. Each blender keeps a bounded number of fan-outs
+// outstanding; a query past that window waits in a FIFO after extraction
+// (cheap: no broker or searcher holds any of its state yet) and is
+// dispatched when an earlier fan-out's last broker answers. The global
+// merge, attribute ranking, cache fill and span finish are continuations
+// too: broker results count down a FanInCollector, and the merge/rank leg
+// is re-posted to the blender pool by the last broker completion. The
+// public SearchAsync future is fulfilled by a promise at the end of the
+// chain; only the blocking Search() facade ever waits.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -170,8 +178,24 @@ class Blender {
   // the destructor backstops a dropped chain so the future never dangles.
   struct RequestState;
 
+  // Stages on a blender pool thread: trace root and item detection, then
+  // the simulated GPU time in the pool's delay heap, after which
+  // ResumeQuery runs with the due time of that wait.
   void BeginQuery(const std::shared_ptr<RequestState>& state,
                   const QueryImage& query);
+  // Extraction read-out, deadline check, cache lookup and degradation; then
+  // the fan-out, or a place in the fan-out window's FIFO.
+  void ResumeQuery(const std::shared_ptr<RequestState>& state,
+                   const QueryImage& query, Micros extraction_due_micros);
+  // Sends the query to every broker; the caller holds a window slot, which
+  // the last broker completion gives back.
+  void DispatchFanOut(const std::shared_ptr<RequestState>& state);
+  // Hands a finished fan-out's window slot to the oldest waiting query
+  // (dispatched from this blender's pool, or failed typed if its deadline
+  // died in the FIFO), or frees it.
+  void ReleaseFanOutSlot();
+  // Typed deadline death before any broker saw the query.
+  void FailDeadline(RequestState& state);
   void FinishQuery(const std::shared_ptr<RequestState>& state,
                    std::vector<AsyncResult<Broker::Reply>> slots);
 
@@ -205,6 +229,11 @@ class Blender {
   Histogram* rank_stage_;         // jdvs_stage_micros{stage="rank"}
   std::atomic<std::uint64_t> queries_{0};
   std::atomic<std::uint64_t> shed_{0};
+  // Fan-out window: dispatched fan-outs whose fan-in has not completed, and
+  // the extracted queries waiting for one of them to finish.
+  std::mutex window_mu_;
+  std::size_t fanouts_outstanding_ = 0;                 // guarded by window_mu_
+  std::deque<std::shared_ptr<RequestState>> parked_;   // guarded by window_mu_
 };
 
 }  // namespace jdvs

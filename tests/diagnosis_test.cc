@@ -239,6 +239,40 @@ TEST(DiagnosisTest, WireAndQueueWaitSplitTheLeadIn) {
   cluster.Stop();
 }
 
+// Extraction's simulated GPU time waits in the blender pool's delay heap.
+// kExtract still covers the whole extraction; the pool wait after its due
+// time goes to kFanOutWait, so the disjoint stages after the lead-in never
+// add up to more than the query's response time, and the critical-path
+// table gets a fanout_wait row.
+TEST(DiagnosisTest, ExtractionAndFanOutWaitStayDisjoint) {
+  ClusterConfig config = SmallClusterConfig();
+  config.trace_sample_every = 1;
+  config.query_extraction_micros = 3'000;
+  VisualSearchCluster cluster(config);
+  Populate(cluster);
+  ASSERT_NE(cluster.flight_recorder(), nullptr);
+  for (std::size_t i = 0; i < 6; ++i) RunQuery(cluster, i);
+
+  const auto records = cluster.flight_recorder()->Snapshot();
+  ASSERT_EQ(records.size(), 6u);
+  for (const obs::FlightRecord& record : records) {
+    EXPECT_GE(record.stage(obs::FlightStage::kExtract), 3'000);
+    Micros sum = 0;
+    for (const obs::FlightStage stage :
+         {obs::FlightStage::kExtract, obs::FlightStage::kFanOutWait,
+          obs::FlightStage::kFilter, obs::FlightStage::kIo,
+          obs::FlightStage::kScan, obs::FlightStage::kHedgeWait,
+          obs::FlightStage::kFanIn, obs::FlightStage::kRank}) {
+      sum += record.stage(stage);
+    }
+    EXPECT_LE(sum, record.total_micros);
+  }
+  // Sampled queries carry the wait as its own critical-path row.
+  const std::string table = obs::RenderCriticalPathTable(cluster.registry());
+  EXPECT_NE(table.find("fanout_wait"), std::string::npos) << table;
+  cluster.Stop();
+}
+
 // The recorder's kill switch makes the whole layer inert (the overhead
 // bench's baseline), and re-enabling resumes recording.
 TEST(DiagnosisTest, RecorderKillSwitch) {

@@ -193,6 +193,41 @@ TEST(SpanTest, ParentChildNesting) {
   EXPECT_LT(tree.find("query"), tree.find("broker.search"));
 }
 
+// A continuation that learns a wait's edges late back-dates them: the
+// extract span ends at the extraction's due time, the wait after it starts
+// there.
+TEST(SpanTest, BackDatedEdges) {
+  TraceSink sink;
+  ManualClock clock(1000);
+  Tracer tracer(&sink, {.sample_every = 1}, clock);
+  Span root = tracer.StartTrace("query");
+  const std::uint64_t trace_id = root.context().trace_id;
+  Span extract = root.StartChild("extract");
+  clock.AdvanceMicros(300);  // due at 1300, resumed at 1340
+  clock.AdvanceMicros(40);
+  extract.FinishAgo(40);
+  Span wait = root.StartChild("fanout_wait");
+  wait.MoveStartBack(40);
+  clock.AdvanceMicros(60);
+  wait.Finish();
+  Span late = root.StartChild("late");
+  late.FinishAgo(1'000);  // clamped: never ends before it starts
+  root.Finish();
+
+  for (const SpanRecord& span : sink.SpansFor(trace_id)) {
+    if (span.name == "extract") {
+      EXPECT_EQ(span.start_micros, 1000);
+      EXPECT_EQ(span.end_micros, 1300);
+    } else if (span.name == "fanout_wait") {
+      EXPECT_EQ(span.start_micros, 1300);
+      EXPECT_EQ(span.end_micros, 1400);
+    } else if (span.name == "late") {
+      EXPECT_EQ(span.DurationMicros(), 0);
+    }
+  }
+  EXPECT_EQ(sink.SpansFor(trace_id).size(), 4u);
+}
+
 TEST(SpanTest, ErrorStatusRendered) {
   TraceSink sink;
   ManualClock clock;

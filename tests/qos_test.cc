@@ -536,8 +536,8 @@ TEST(QosWorkloadTest, OpenLoopOverloadAccountingBalances) {
   config.query_extraction_micros = 2'000;
   auto cluster = MakeCluster(config);
   QueryWorkloadConfig qc;
-  qc.arrival_qps = 2'000.0;       // far past the ~1k QPS the 2-thread
-  qc.duration_micros = 200'000;   // blender with 2 ms extraction can serve
+  qc.arrival_qps = 2'000.0;       // far past the <= 1k QPS admission lets
+  qc.duration_micros = 200'000;   // through: 2 in flight x >= 2 ms each
   qc.slo_micros = 100'000;
   QueryClient client(*cluster, qc);
   const OpenLoopResult result = client.RunOpenLoop();

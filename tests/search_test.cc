@@ -349,6 +349,133 @@ TEST(BlenderTest, FailedNodeReleasesAdmissionSlots) {
   EXPECT_EQ(limited.queries_shed(), 0u);
 }
 
+// The simulated GPU time waits in the blender pool's delay heap, not on a
+// worker: one blender thread overlaps eight 20 ms extractions. Sleeping on
+// the thread would serialize them to >= 160 ms.
+TEST(BlenderTest, ExtractionDoesNotHoldAWorker) {
+  MiniCluster mini;
+  Blender::Config bc;
+  bc.threads = 1;
+  bc.default_k = 5;
+  bc.query_extraction_micros = 20'000;
+  Blender blender("bl-gpu", bc, mini.embedder, mini.detector,
+                  std::vector<Broker*>{mini.broker.get()});
+  const Stopwatch watch(MonotonicClock::Instance());
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(
+        blender.SearchAsync(mini.QueryFor(1 + i), QueryOptions{.k = 5}));
+  }
+  for (auto& f : futures) EXPECT_FALSE(f.get().results.empty());
+  EXPECT_LT(watch.ElapsedMicros(), 80'000);
+  EXPECT_EQ(blender.in_flight(), 0u);
+}
+
+// A one-thread broker over far-away copies of the mini-cluster's partitions:
+// every searcher call spends `hop_micros` on the wire each way, so fan-outs
+// stay outstanding long enough to fill the blender's fan-out window.
+struct FarTier {
+  FarTier(MiniCluster& mini, Micros hop_micros) {
+    FullIndexBuilderConfig fc;
+    fc.kmeans.num_clusters = 6;
+    fc.index_config.nprobe = 6;
+    FullIndexBuilder builder(mini.catalog, mini.images, mini.features, fc);
+    const auto even = [](std::string_view url) {
+      return Fnv1a64(url) % 2 == 0;
+    };
+    const auto odd = [](std::string_view url) {
+      return Fnv1a64(url) % 2 == 1;
+    };
+    Searcher::Config sc;
+    sc.latency = LatencyModel{.base_micros = hop_micros};
+    searcher_a =
+        std::make_unique<Searcher>("far-a", sc, mini.features, even);
+    searcher_b = std::make_unique<Searcher>("far-b", sc, mini.features, odd);
+    searcher_a->InstallIndex(builder.Build(mini.quantizer, even));
+    searcher_b->InstallIndex(builder.Build(mini.quantizer, odd));
+    Broker::Config bc;
+    bc.threads = 1;
+    bc.registry = &registry;
+    broker = std::make_unique<Broker>("far-broker", bc);
+    broker->AddPartition({searcher_a.get()});
+    broker->AddPartition({searcher_b.get()});
+  }
+
+  // Fan-outs this broker started (each records one broker_fanout sample).
+  std::uint64_t fanouts_seen() const {
+    const Histogram* fanouts = registry.FindHistogram(
+        obs::Labeled("jdvs_stage_micros", "stage", "broker_fanout"));
+    return fanouts == nullptr ? 0 : fanouts->Count();
+  }
+
+  obs::Registry registry;
+  std::unique_ptr<Searcher> searcher_a;
+  std::unique_ptr<Searcher> searcher_b;
+  std::unique_ptr<Broker> broker;
+};
+
+std::vector<ImageId> ImageIds(const QueryResponse& response) {
+  std::vector<ImageId> ids;
+  for (const auto& r : response.results) ids.push_back(r.hit.image_id);
+  return ids;
+}
+
+// Forty concurrent queries, one broker thread, slow searchers: the blender
+// keeps exactly 32 fan-outs outstanding and dispatches the rest as earlier
+// fan-outs complete. Every query still gets the answer the fast tier gives.
+TEST(BlenderTest, FanOutWindowBoundsOutstandingFanOuts) {
+  MiniCluster mini;
+  FarTier far(mini, 20'000);
+  Blender::Config bc;
+  bc.default_k = 5;
+  Blender blender("bl-window", bc, mini.embedder, mini.detector,
+                  std::vector<Broker*>{far.broker.get()});
+  constexpr int kQueries = 40;
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < kQueries; ++i) {
+    futures.push_back(
+        blender.SearchAsync(mini.QueryFor(1 + i), QueryOptions{.k = 5}));
+  }
+  for (int i = 0; i < kQueries; ++i) {
+    const QueryResponse response = futures[i].get();
+    const QueryResponse reference =
+        mini.blender->Search(mini.QueryFor(1 + i), QueryOptions{.k = 5});
+    ASSERT_FALSE(response.results.empty());
+    EXPECT_EQ(ImageIds(response), ImageIds(reference)) << "query " << i;
+  }
+  EXPECT_EQ(far.broker->peak_in_flight(), 32u);
+  EXPECT_EQ(far.fanouts_seen(), static_cast<std::uint64_t>(kQueries));
+  EXPECT_EQ(far.broker->in_flight(), 0u);
+  EXPECT_EQ(blender.in_flight(), 0u);
+}
+
+// A query whose budget dies while it waits in the window fails typed when
+// its turn comes, and its fan-out never leaves the blender.
+TEST(BlenderTest, DeadlineExpiredWhileParkedSkipsFanOut) {
+  MiniCluster mini;
+  FarTier far(mini, 50'000);  // each fan-out stays open >= 100 ms
+  Blender::Config bc;
+  bc.threads = 1;  // FIFO: the first 32 queries take the window's slots
+  bc.default_k = 5;
+  Blender blender("bl-parked", bc, mini.embedder, mini.detector,
+                  std::vector<Broker*>{far.broker.get()});
+  std::vector<std::future<QueryResponse>> futures;
+  for (int i = 0; i < 32; ++i) {
+    futures.push_back(
+        blender.SearchAsync(mini.QueryFor(1 + i), QueryOptions{.k = 5}));
+  }
+  auto late = blender.SearchAsync(
+      mini.QueryFor(40), QueryOptions{.k = 5, .budget_micros = 30'000});
+  EXPECT_THROW(late.get(), qos::DeadlineExceededError);
+  for (auto& f : futures) EXPECT_FALSE(f.get().results.empty());
+  EXPECT_EQ(far.fanouts_seen(), 32u);
+  const obs::Counter* broker_deadlines = far.registry.FindCounter(
+      obs::Labeled("jdvs_qos_deadline_exceeded_total", "tier", "broker"));
+  EXPECT_TRUE(broker_deadlines == nullptr || broker_deadlines->Value() == 0);
+  EXPECT_EQ(far.broker->in_flight(), 0u);
+  EXPECT_EQ(blender.in_flight(), 0u);
+}
+
 TEST(BlenderTest, NoAdmissionLimitByDefault) {
   MiniCluster mini;
   std::vector<std::future<QueryResponse>> futures;
