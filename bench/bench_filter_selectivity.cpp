@@ -8,7 +8,7 @@
 // sub-blocks, widen nprobe when the filter is starving the probe set)
 // against the naive baseline every index gets for free: search unfiltered,
 // post-filter the hits, and re-scan with 4x the fetch depth until k
-// survivors accumulate (ImageIndex::Search's generic fallback).
+// survivors accumulate (OverFetchFilteredSearch).
 //
 // Attributes are drawn from the workload generator's Zipf-like sampler, so
 // the thresholds are picked from the sampled distribution's quantiles the
@@ -33,7 +33,7 @@ struct Corpus {
   std::shared_ptr<const CoarseQuantizer> quantizer;
   std::shared_ptr<const ProductQuantizer> pq;
   std::unique_ptr<IvfIndex> flat;
-  std::unique_ptr<IvfPqIndex> ivfpq;
+  std::unique_ptr<IvfIndex> ivfpq;
   std::vector<std::uint64_t> sales_sorted;  // for quantile thresholds
   std::vector<FeatureVector> queries;
 };
@@ -65,9 +65,9 @@ Corpus BuildCorpus(std::size_t images, std::size_t num_queries,
   IvfIndexConfig fc;
   fc.nprobe = 8;
   corpus.flat = std::make_unique<IvfIndex>(corpus.quantizer, fc);
-  IvfPqIndexConfig qc;
+  IvfIndexConfig qc;
   qc.nprobe = 8;
-  corpus.ivfpq = std::make_unique<IvfPqIndex>(corpus.quantizer, corpus.pq, qc);
+  corpus.ivfpq = std::make_unique<IvfIndex>(corpus.quantizer, qc, corpus.pq);
 
   for (std::size_t i = 0; i < images; ++i) {
     const auto product = static_cast<ProductId>(i + 1);
@@ -254,9 +254,8 @@ int main(int argc, char** argv) {
     row = Measure(regime.name, regime.selectivity, "flat", "naive",
                   corpus.queries, kTopK,
                   [&](const FeatureVector& q, std::size_t k) {
-                    return corpus.flat
-                        ->ImageIndex::Search(q, k, 0, kNoCategoryFilter,
-                                             filter)
+                    return OverFetchFilteredSearch(*corpus.flat, q, k, 0,
+                                                   kNoCategoryFilter, filter)
                         .size();
                   });
     row.actual_selectivity = actual;
@@ -281,9 +280,8 @@ int main(int argc, char** argv) {
     row = Measure(regime.name, regime.selectivity, "ivfpq", "naive",
                   corpus.queries, kTopK,
                   [&](const FeatureVector& q, std::size_t k) {
-                    return corpus.ivfpq
-                        ->ImageIndex::Search(q, k, 0, kNoCategoryFilter,
-                                             filter)
+                    return OverFetchFilteredSearch(*corpus.ivfpq, q, k, 0,
+                                                   kNoCategoryFilter, filter)
                         .size();
                   });
     row.actual_selectivity = actual;

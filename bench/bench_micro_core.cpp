@@ -198,17 +198,19 @@ void BM_PqAdcScan(benchmark::State& state) {
   pc.num_subspaces = 8;
   pc.codebook_size = 256;
   const ProductQuantizer pq = ProductQuantizer::Train(training, pc);
-  CodeSet codes(pq.code_bytes());
   constexpr int kCodes = 4096;
+  std::vector<std::uint8_t> codes;
+  codes.reserve(kCodes * pq.code_bytes());
   for (int i = 0; i < kCodes; ++i) {
-    codes.Append(pq.Encode(RandomVector(rng, 64)));
+    const PqCode code = pq.Encode(RandomVector(rng, 64));
+    codes.insert(codes.end(), code.begin(), code.end());
   }
   const FeatureVector q = RandomVector(rng, 64);
   const auto table = pq.BuildDistanceTable(q);
   for (auto _ : state) {
     float sum = 0.f;
     for (int i = 0; i < kCodes; ++i) {
-      sum += pq.DistanceWithTable(table, codes.At(i));
+      sum += pq.DistanceWithTable(table, codes.data() + i * pq.code_bytes());
     }
     benchmark::DoNotOptimize(sum);
   }

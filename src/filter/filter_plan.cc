@@ -6,6 +6,33 @@
 #include "common/clock.h"
 
 namespace jdvs {
+namespace {
+
+// Selectivity (matching fraction) at or above which the scan post-filters
+// kernel survivors instead of evaluating the bitmap per sub-block: when
+// almost everything passes, per-survivor tests are cheaper than
+// per-candidate mask gathering.
+constexpr double kPostThreshold = 0.5;
+// Selectivity below which nprobe is multiplied by kWidenFactor (clamped to
+// the list count) so k results can still be found under an extreme filter.
+constexpr double kWidenThreshold = 0.01;
+constexpr std::size_t kWidenFactor = 4;
+
+}  // namespace
+
+const char* FilterStrategyName(FilterScanStats::Strategy strategy) noexcept {
+  switch (strategy) {
+    case FilterScanStats::Strategy::kNone:
+      return "none";
+    case FilterScanStats::Strategy::kPre:
+      return "pre";
+    case FilterScanStats::Strategy::kPost:
+      return "post";
+    case FilterScanStats::Strategy::kFallback:
+      return "fallback";
+  }
+  return "unknown";
+}
 
 double EstimateFilterSelectivity(const ForwardIndex& forward,
                                  const ValidityBitmap* validity,
@@ -52,7 +79,7 @@ FilterPlan PlanFilteredScan(const FilterPlanInputs& in,
   // ~1ms/100k-entry bitmap cost disappears.
   const double estimate = EstimateFilterSelectivity(
       in.forward, in.validity, *filter, category_filter);
-  if (estimate >= in.post_threshold) {
+  if (estimate >= kPostThreshold) {
     plan.post_mode = true;
     plan.direct = filter;
     if (stats != nullptr) {
@@ -68,10 +95,10 @@ FilterPlan PlanFilteredScan(const FilterPlanInputs& in,
   const double selectivity = plan.bits->selectivity();
   if (plan.bits->matches == 0) {
     plan.empty_result = true;
-  } else if (selectivity >= in.post_threshold) {
+  } else if (selectivity >= kPostThreshold) {
     plan.post_mode = true;
-  } else if (selectivity < in.widen_threshold && in.widen_factor > 1) {
-    plan.nprobe = std::min(nprobe * in.widen_factor, in.num_lists);
+  } else if (selectivity < kWidenThreshold) {
+    plan.nprobe = std::min(nprobe * kWidenFactor, in.num_lists);
   }
   if (stats != nullptr) {
     stats->strategy = plan.post_mode ? FilterScanStats::Strategy::kPost

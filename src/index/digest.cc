@@ -7,7 +7,7 @@ namespace jdvs {
 IndexDigest ComputeIndexDigest(const IvfIndex& index) {
   IndexDigest digest;
   index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         FeatureView, bool valid) {
+                         const std::uint8_t*, FeatureView, bool valid) {
     std::uint64_t h = Fnv1a64(snapshot.image_url);
     h = HashCombine(h, Mix64(snapshot.product_id));
     h = HashCombine(h, Mix64(snapshot.category));

@@ -93,13 +93,11 @@ std::shared_ptr<const CoarseQuantizer> FullIndexBuilder::TrainQuantizer() {
 
 std::unique_ptr<IvfIndex> FullIndexBuilder::Build(
     std::shared_ptr<const CoarseQuantizer> quantizer,
-    const PartitionFilter& filter, FullIndexReport* report,
-    CopyExecutor copy_executor) {
+    const PartitionFilter& filter, FullIndexReport* report) {
   const Micros start = clock_->NowMicros();
   FullIndexReport local_report;
   auto index = std::make_unique<IvfIndex>(std::move(quantizer),
-                                          config_.index_config,
-                                          std::move(copy_executor));
+                                          config_.index_config);
   Rng rng(config_.seed ^ 0xF00DULL);
   catalog_.ForEach([&](const ProductRecord& record) {
     // "Only the valid images are used to create the full index."

@@ -6,7 +6,7 @@ PartitionFilter AcceptAllPartitionFilter() {
   return [](std::string_view) { return true; };
 }
 
-RealTimeIndexer::RealTimeIndexer(ImageIndex& index, FeatureDb& features,
+RealTimeIndexer::RealTimeIndexer(IvfIndex& index, FeatureDb& features,
                                  PartitionFilter filter, std::uint64_t seed,
                                  const Clock& clock, obs::Registry* registry,
                                  std::string_view owner)

@@ -26,7 +26,7 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/rng.h"
-#include "index/image_index.h"
+#include "index/ivf_index.h"
 #include "mq/message.h"
 #include "obs/registry.h"
 #include "store/feature_db.h"
@@ -68,13 +68,13 @@ struct RealTimeIndexerCounters {
 
 class RealTimeIndexer {
  public:
-  // `index` may be any ImageIndex implementation (flat IVF or IVF-PQ).
+  // `index` may use either list codec (flat rows or PQ codes).
   // `registry` (null = process-global default) receives the cumulative
   // update counter `jdvs_realtime_updates_total{searcher=<owner>}` and the
   // apply-latency stage histogram; because instruments are looked up by
   // name, a re-created indexer (full-index install) keeps counting into the
   // same series.
-  RealTimeIndexer(ImageIndex& index, FeatureDb& features,
+  RealTimeIndexer(IvfIndex& index, FeatureDb& features,
                   PartitionFilter filter = AcceptAllPartitionFilter(),
                   std::uint64_t seed = 99,
                   const Clock& clock = MonotonicClock::Instance(),
@@ -98,7 +98,7 @@ class RealTimeIndexer {
   void ApplyAddition(const ProductUpdateMessage& message);
   void ApplyDeletion(const ProductUpdateMessage& message);
 
-  ImageIndex& index_;
+  IvfIndex& index_;
   FeatureDb& features_;
   PartitionFilter filter_;
   Rng rng_;

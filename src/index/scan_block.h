@@ -3,24 +3,26 @@
 // The seed scanned a posting list by chasing each LocalId through a chunked
 // per-partition feature store — one dependent pointer hop and a random-ish
 // cache line per candidate. ScanBlock is the scan-order layout that replaces
-// that indirection: each inverted list owns one ScanBlock holding its
-// members' payloads (padded float vectors for IvfIndex, packed PQ codes for
-// IvfPqIndex) contiguously in append order, SoA against a parallel LocalId
-// array, with every chunk base 64-byte aligned. A scan walks whole runs
-// linearly — exactly what the batch kernels in vecmath/kernels.h and the
-// hardware prefetcher want.
+// that indirection, and it is the index's only posting list: each inverted
+// list is one ScanBlock holding its members' ids and payloads (padded float
+// rows or packed PQ codes, per the IvfIndex list codec) contiguously in
+// append order, SoA against a parallel LocalId array, with every chunk base
+// 64-byte aligned. A scan walks whole runs linearly — exactly what the batch
+// kernels in vecmath/kernels.h and the hardware prefetcher want.
 //
 // Chunks grow geometrically (16 entries, doubling), so a small list — the
 // common case: a testbed partition spreads ~5k images over 64 lists — wastes
 // at most its own size in slack and the whole index stays cache-resident.
 // Doubling also bounds the chunk count at O(log size), which is what makes
 // the lock-free reader contract cheap: the chunk vector is reserved once and
-// never reallocates.
+// never reallocates. This is the real-time list growth of Section 2.3: a
+// full list gets a new chunk while readers keep scanning the old ones, and
+// nothing is ever copied.
 //
-// Concurrency contract mirrors VectorSet / InvertedList: single writer (the
-// partition's searcher), lock-free readers. Chunks never move once
-// published; growth is published through an atomic size with release
-// ordering after the slot write.
+// Concurrency contract mirrors VectorSet: single writer (the partition's
+// searcher), lock-free readers. Chunks never move once published; growth is
+// published through an atomic size with release ordering after the slot
+// write.
 #pragma once
 
 #include <atomic>
@@ -103,6 +105,12 @@ class ScanBlock {
 
   std::size_t size() const noexcept {
     return size_.load(std::memory_order_acquire);
+  }
+  // Chunks allocated because the previous one was full (the first chunk,
+  // frozen or heap, is not a growth). Safe concurrently with Append.
+  std::size_t growths() const noexcept {
+    const std::size_t chunks = chunk_count_.load(std::memory_order_acquire);
+    return chunks > 0 ? chunks - 1 : 0;
   }
   std::size_t payload_stride_bytes() const noexcept { return stride_; }
   std::size_t max_run_entries() const noexcept { return max_run_entries_; }

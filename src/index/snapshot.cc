@@ -16,10 +16,17 @@ constexpr std::uint64_t kMagic = 0x4A44565349445831ULL;  // "JDVSIDX1"
 // Version 3 adds the hybrid-filter strategy knobs to the config block and a
 // trailing verification section (per-category populations + numeric-column
 // checksum) that load cross-checks against the rebuilt attribute filter
-// index; v1/v2 snapshots still load with default knobs and no verification.
+// index; v1/v2 snapshots still load, without verification.
 // Version 4 is the tiered (mmap-able) layout defined in tier/tiered_snapshot;
 // this writer still emits v3 and the loader dispatches v4 files there.
 constexpr std::uint32_t kVersion = 3;
+// Constants written into config fields whose knobs are gone (list capacity,
+// then the v3 filter strategy knobs, now fixed in filter/filter_plan.cc);
+// readers skip them.
+constexpr std::uint64_t kUnusedListCapacity = 64;
+constexpr double kUnusedPostThreshold = 0.5;
+constexpr double kUnusedWidenThreshold = 0.01;
+constexpr std::uint64_t kUnusedWidenFactor = 4;
 
 void WriteRaw(std::ostream& os, const void* data, std::size_t bytes) {
   os.write(static_cast<const char*>(data),
@@ -65,6 +72,9 @@ std::string ReadString(std::istream& is) {
 
 void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
                        std::uint64_t update_hwm) {
+  if (index.pq() != nullptr) {
+    throw SnapshotError("flat snapshot of a PQ-codec index");
+  }
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) throw SnapshotError("cannot open for writing: " + path);
 
@@ -75,11 +85,11 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
   // Index configuration.
   const IvfIndexConfig& config = index.config();
   WritePod<std::uint64_t>(os, config.nprobe);
-  WritePod<std::uint64_t>(os, config.initial_list_capacity);
+  WritePod<std::uint64_t>(os, kUnusedListCapacity);
   WritePod<std::uint8_t>(os, config.filter_invalid_during_scan ? 1 : 0);
-  WritePod<double>(os, config.filter_post_threshold);
-  WritePod<double>(os, config.filter_widen_threshold);
-  WritePod<std::uint64_t>(os, config.filter_widen_factor);
+  WritePod<double>(os, kUnusedPostThreshold);
+  WritePod<double>(os, kUnusedWidenThreshold);
+  WritePod<std::uint64_t>(os, kUnusedWidenFactor);
 
   // Quantizer.
   const CoarseQuantizer& quantizer = index.quantizer();
@@ -94,7 +104,8 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
   WritePod<std::uint64_t>(os, index.size());
   std::map<CategoryId, std::uint64_t> category_populations;
   index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         FeatureView feature, bool valid) {
+                         const std::uint8_t*, FeatureView feature,
+                         bool valid) {
     WriteString(os, snapshot.image_url);
     WritePod<std::uint64_t>(os, snapshot.product_id);
     WritePod<std::uint32_t>(os, snapshot.category);
@@ -122,7 +133,6 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
 }
 
 std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
-                                            CopyExecutor copy_executor,
                                             std::uint64_t* update_hwm) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw SnapshotError("cannot open for reading: " + path);
@@ -137,8 +147,7 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
     // the generic entry point keep getting a fully RAM-resident index; use
     // LoadTieredSnapshot for mapped serving.
     is.close();
-    return internal::LoadTieredSnapshotHeap(path, std::move(copy_executor),
-                                            update_hwm);
+    return internal::LoadTieredSnapshotHeap(path, update_hwm);
   }
   if (version < 1 || version > kVersion) {
     throw SnapshotError("unsupported snapshot version " +
@@ -149,14 +158,13 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
 
   IvfIndexConfig config;
   config.nprobe = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  config.initial_list_capacity =
-      static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+  ReadPod<std::uint64_t>(is);  // list capacity: no longer a knob
   config.filter_invalid_during_scan = ReadPod<std::uint8_t>(is) != 0;
   if (version >= 3) {
-    config.filter_post_threshold = ReadPod<double>(is);
-    config.filter_widen_threshold = ReadPod<double>(is);
-    config.filter_widen_factor =
-        static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+    // Filter strategy knobs: constants of the planner now.
+    ReadPod<double>(is);
+    ReadPod<double>(is);
+    ReadPod<std::uint64_t>(is);
   }
 
   const auto dim = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
@@ -170,8 +178,7 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
   auto quantizer =
       std::make_shared<const CoarseQuantizer>(std::move(centroids), dim);
 
-  auto index = std::make_unique<IvfIndex>(std::move(quantizer), config,
-                                          std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), config);
   const auto count = ReadPod<std::uint64_t>(is);
   std::vector<float> feature(dim);
   std::vector<std::pair<std::string, bool>> validity;
@@ -195,7 +202,6 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
   for (const auto& [url, valid] : validity) {
     index->SetImageValidity(url, valid);
   }
-  index->FinishPendingExpansions();
   if (version >= 3) {
     // The AddImage replay above rebuilt the attribute filter index; verify
     // it reproduces the saved state before the index takes hybrid traffic —
@@ -229,7 +235,7 @@ std::unique_ptr<IvfIndex> LoadIndexSnapshot(const std::string& path,
   // feature row the scan kernels will touch must sit on a cache-line
   // boundary. Cannot fail with the current allocator; a snapshot load is the
   // one place a foreign build/libc combination would surface it.
-  if (!index->feature_storage_aligned()) {
+  if (!index->storage_aligned()) {
     throw SnapshotError("restored feature storage is not 64-byte aligned");
   }
   return index;

@@ -22,7 +22,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "index/inverted_index.h"
 #include "index/ivf_index.h"
 
 namespace jdvs {
@@ -32,10 +31,11 @@ class SnapshotError : public std::runtime_error {
   explicit SnapshotError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// Writes `index` to `path`, stamping `update_hwm` (the highest applied
-// update sequence; 0 = none) into the header. Throws SnapshotError on I/O
-// failure. Must not race the index's writer (searchers snapshot between
-// update batches).
+// Writes `index` (flat-row codec) to `path`, stamping `update_hwm` (the
+// highest applied update sequence; 0 = none) into the header. Throws
+// SnapshotError on I/O failure or a PQ-codec index (see pq/pq_snapshot.h).
+// Must not race the index's writer (searchers snapshot between update
+// batches).
 void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
                        std::uint64_t update_hwm = 0);
 
@@ -44,7 +44,6 @@ void SaveIndexSnapshot(const IvfIndex& index, const std::string& path,
 // which predate the field. Throws SnapshotError on I/O failure, bad magic,
 // unsupported version, or truncation.
 std::unique_ptr<IvfIndex> LoadIndexSnapshot(
-    const std::string& path, CopyExecutor copy_executor = InlineCopyExecutor(),
-    std::uint64_t* update_hwm = nullptr);
+    const std::string& path, std::uint64_t* update_hwm = nullptr);
 
 }  // namespace jdvs

@@ -63,7 +63,6 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "pq/codebook.h"
-#include "pq/ivfpq_index.h"
 #include "pq/pq_snapshot.h"
 #include "qos/admission.h"
 #include "qos/deadline.h"

@@ -9,6 +9,8 @@ namespace {
 
 constexpr std::uint64_t kMagic = 0x4A44565350513031ULL;  // "JDVSPQ01"
 constexpr std::uint32_t kVersion = 1;
+// Written into the retired list-capacity config field.
+constexpr std::uint64_t kUnusedListCapacity = 64;
 
 void WriteRaw(std::ostream& os, const void* data, std::size_t bytes) {
   os.write(static_cast<const char*>(data),
@@ -52,19 +54,35 @@ std::string ReadString(std::istream& is) {
 
 }  // namespace
 
-void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
+void SaveIvfPqSnapshot(const IvfIndex& index, const std::string& path) {
+  if (index.pq() == nullptr) {
+    throw SnapshotError("pq snapshot of an index without a PQ codec");
+  }
+  // Per-entry list assignment, read back off the posting lists.
+  std::vector<std::uint32_t> list_of(index.size());
+  for (std::size_t list = 0; list < index.num_lists(); ++list) {
+    index.ForEachScanRun(list, [&](const LocalId* ids, const std::uint8_t*,
+                                   const float*, std::size_t count) {
+      for (std::size_t i = 0; i < count; ++i) {
+        list_of[ids[i]] = static_cast<std::uint32_t>(list);
+      }
+    });
+  }
+
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) throw SnapshotError("cannot open for writing: " + path);
 
   WritePod(os, kMagic);
   WritePod(os, kVersion);
 
-  // Index configuration.
-  const IvfPqIndexConfig& config = index.config();
+  // Index configuration. The list-capacity field has no knob any more and
+  // holds a constant; the raw-vector flag records whether the refinement
+  // store is kept, which it is exactly when rerank_candidates > 0.
+  const IvfIndexConfig& config = index.config();
   WritePod<std::uint64_t>(os, config.nprobe);
-  WritePod<std::uint64_t>(os, config.initial_list_capacity);
+  WritePod<std::uint64_t>(os, kUnusedListCapacity);
   WritePod<std::uint64_t>(os, config.rerank_candidates);
-  WritePod<std::uint8_t>(os, config.keep_raw_vectors ? 1 : 0);
+  WritePod<std::uint8_t>(os, config.rerank_candidates > 0 ? 1 : 0);
 
   // Coarse quantizer.
   const CoarseQuantizer& quantizer = index.quantizer();
@@ -76,7 +94,7 @@ void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
   }
 
   // Product quantizer.
-  const ProductQuantizer& pq = index.pq();
+  const ProductQuantizer& pq = *index.pq();
   WritePod<std::uint64_t>(os, pq.num_subspaces());
   WritePod<std::uint64_t>(os, pq.codebook_size());
   WriteRaw(os, pq.codebooks().data(), pq.codebooks().size() * sizeof(float));
@@ -84,9 +102,9 @@ void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
   // Entries.
   WritePod<std::uint64_t>(os, index.size());
   const std::size_t code_bytes = pq.code_bytes();
-  index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         const std::uint8_t* code, std::uint32_t list,
-                         FeatureView raw, bool valid) {
+  index.ForEachEntry([&](LocalId local, const AttributeSnapshot& snapshot,
+                         const std::uint8_t* code, FeatureView raw,
+                         bool valid) {
     WriteString(os, snapshot.image_url);
     WritePod<std::uint64_t>(os, snapshot.product_id);
     WritePod<std::uint32_t>(os, snapshot.category);
@@ -94,7 +112,7 @@ void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
     WritePod<std::uint64_t>(os, snapshot.attributes.price_cents);
     WritePod<std::uint64_t>(os, snapshot.attributes.praise);
     WriteString(os, snapshot.detail_url);
-    WritePod<std::uint32_t>(os, list);
+    WritePod<std::uint32_t>(os, list_of[local]);
     WritePod<std::uint8_t>(os, valid ? 1 : 0);
     WriteRaw(os, code, code_bytes);
     WritePod<std::uint8_t>(os, raw.empty() ? 0 : 1);
@@ -106,8 +124,7 @@ void SaveIvfPqSnapshot(const IvfPqIndex& index, const std::string& path) {
   if (!os) throw SnapshotError("pq snapshot flush failed");
 }
 
-std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
-                                              CopyExecutor copy_executor) {
+std::unique_ptr<IvfIndex> LoadIvfPqSnapshot(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw SnapshotError("cannot open for reading: " + path);
 
@@ -120,13 +137,12 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
                         std::to_string(version));
   }
 
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  config.initial_list_capacity =
-      static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+  ReadPod<std::uint64_t>(is);  // list capacity: no longer a knob
   config.rerank_candidates =
       static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  config.keep_raw_vectors = ReadPod<std::uint8_t>(is) != 0;
+  ReadPod<std::uint8_t>(is);  // raw-vector flag: implied by rerank
 
   const auto dim = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
   const auto num_clusters = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
@@ -153,8 +169,7 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
   auto pq = std::make_shared<const ProductQuantizer>(
       dim, num_subspaces, codebook_size, std::move(codebooks));
 
-  auto index = std::make_unique<IvfPqIndex>(std::move(quantizer), pq, config,
-                                            std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), config, pq);
   const auto count = ReadPod<std::uint64_t>(is);
   PqCode code(pq->code_bytes());
   std::vector<float> raw(dim);
@@ -169,8 +184,22 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
     attributes.praise = ReadPod<std::uint64_t>(is);
     const std::string detail_url = ReadString(is);
     const auto list = ReadPod<std::uint32_t>(is);
+    if (list >= num_clusters) {
+      throw SnapshotError("pq snapshot entry " + std::to_string(i) +
+                          " names list " + std::to_string(list) + " of " +
+                          std::to_string(num_clusters));
+    }
     const bool valid = ReadPod<std::uint8_t>(is) != 0;
     ReadRaw(is, code.data(), code.size());
+    for (const std::uint8_t c : code) {
+      // Each code byte indexes a codebook_size-wide row of the ADC table.
+      if (c >= codebook_size) {
+        throw SnapshotError("pq snapshot entry " + std::to_string(i) +
+                            " has code " + std::to_string(c) +
+                            " past codebook size " +
+                            std::to_string(codebook_size));
+      }
+    }
     const bool has_raw = ReadPod<std::uint8_t>(is) != 0;
     FeatureView raw_view;
     if (has_raw) {
@@ -178,14 +207,13 @@ std::unique_ptr<IvfPqIndex> LoadIvfPqSnapshot(const std::string& path,
       raw_view = FeatureView(raw.data(), raw.size());
     }
     index->AddEncoded(image_url, product_id, category, attributes, detail_url,
-                      code, list, raw_view);
+                      code.data(), list, raw_view);
     if (!valid) invalid_urls.push_back(image_url);
   }
   for (const auto& url : invalid_urls) index->SetImageValidity(url, false);
-  index->FinishPendingExpansions();
   // Same layout invariant as the flat-index snapshot load: ADC gathers
   // assume cache-line-aligned code runs.
-  if (!index->code_storage_aligned()) {
+  if (!index->storage_aligned()) {
     throw SnapshotError("restored code storage is not 64-byte aligned");
   }
   return index;

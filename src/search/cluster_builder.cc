@@ -284,8 +284,7 @@ void VisualSearchCluster::BuildAndInstall(
       FullIndexBuilder builder(catalog_, image_store_, features_, fc);
       FullIndexReport report;
       auto index =
-          builder.Build(quantizer, searcher->partition_filter(), &report,
-                        PoolCopyExecutor(searcher->node().pool()));
+          builder.Build(quantizer, searcher->partition_filter(), &report);
       searcher->InstallIndex(std::move(index), hwm);
       JDVS_LOG(kInfo) << searcher->name() << ": installed full index with "
                       << report.images_indexed << " images ("

@@ -106,7 +106,7 @@ void Searcher::SaveIndexSnapshot(const std::string& path) const {
 
 void Searcher::InstallFromSnapshot(const std::string& path) {
   std::uint64_t hwm = 0;
-  auto index = LoadIndexSnapshot(path, PoolCopyExecutor(node_.pool()), &hwm);
+  auto index = LoadIndexSnapshot(path, &hwm);
   InstallIndex(std::move(index), hwm);
 }
 
@@ -127,8 +127,7 @@ void Searcher::InstallFromTieredSnapshot(const std::string& path,
   tier.fault_injector = fault_injector_;
   tier.node_name = node_.name();
   std::uint64_t hwm = 0;
-  auto index =
-      LoadTieredSnapshot(path, tier, PoolCopyExecutor(node_.pool()), &hwm);
+  auto index = LoadTieredSnapshot(path, tier, &hwm);
   InstallIndex(std::move(index), hwm);
 }
 
@@ -444,13 +443,6 @@ bool Searcher::ApplyUpdate(const ProductUpdateMessage& message) {
     applied_sequence_.store(message.sequence, std::memory_order_relaxed);
   }
   return true;
-}
-
-void Searcher::FinishPendingExpansions() {
-  std::lock_guard lock(writer_mu_);
-  const std::shared_ptr<IvfIndex> index =
-      index_.load(std::memory_order_acquire);
-  if (index) index->FinishPendingExpansions();
 }
 
 RealTimeIndexerCounters Searcher::update_counters() const {

@@ -201,9 +201,6 @@ class Searcher {
   // update, e.g. buffered by a fresh subscription during catch-up replay).
   bool ApplyUpdate(const ProductUpdateMessage& message);
 
-  // Writer housekeeping: finish any pending inverted-list expansions.
-  void FinishPendingExpansions();
-
   // Notification hook fired (outside all locks) after every consumed
   // message, from both the consumer loop and catch-up replay — so a drain
   // waiter can park on a condition variable instead of sleep-polling

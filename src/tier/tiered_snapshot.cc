@@ -28,6 +28,12 @@ constexpr std::uint32_t kTieredVersion = 4;
 constexpr std::uint32_t kTieredVersionChecksummed = 5;
 constexpr std::uint64_t kSegmentAlign = kCacheLineBytes;
 static_assert(kTieredSnapshotVersion == kTieredVersionChecksummed);
+// Constants written into the config fields whose knobs are gone (list
+// capacity and the filter strategy knobs); readers skip them.
+constexpr std::uint64_t kUnusedListCapacity = 64;
+constexpr double kUnusedPostThreshold = 0.5;
+constexpr double kUnusedWidenThreshold = 0.01;
+constexpr std::uint64_t kUnusedWidenFactor = 4;
 
 std::uint64_t AlignUp(std::uint64_t value) {
   return (value + kSegmentAlign - 1) & ~(kSegmentAlign - 1);
@@ -140,13 +146,12 @@ ParsedHead ParseHead(std::istream& is, const std::string& path) {
   }
 
   head.config.nprobe = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
-  head.config.initial_list_capacity =
-      static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+  ReadPod<std::uint64_t>(is);  // list capacity: no longer a knob
   head.config.filter_invalid_during_scan = ReadPod<std::uint8_t>(is) != 0;
-  head.config.filter_post_threshold = ReadPod<double>(is);
-  head.config.filter_widen_threshold = ReadPod<double>(is);
-  head.config.filter_widen_factor =
-      static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
+  // Filter strategy knobs: constants of the planner now.
+  ReadPod<double>(is);
+  ReadPod<double>(is);
+  ReadPod<std::uint64_t>(is);
 
   head.dim = static_cast<std::size_t>(ReadPod<std::uint64_t>(is));
   const auto num_clusters =
@@ -305,6 +310,9 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
     throw SnapshotError("unsupported tiered snapshot version " +
                         std::to_string(version));
   }
+  if (index.pq() != nullptr) {
+    throw SnapshotError("tiered snapshot of a PQ-codec index");
+  }
   const std::size_t num_lists = index.num_lists();
   const std::uint64_t row_bytes = index.padded_dim() * sizeof(float);
 
@@ -340,11 +348,11 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
   std::ostringstream head(std::ios::binary);
   const IvfIndexConfig& config = index.config();
   WritePod<std::uint64_t>(head, config.nprobe);
-  WritePod<std::uint64_t>(head, config.initial_list_capacity);
+  WritePod<std::uint64_t>(head, kUnusedListCapacity);
   WritePod<std::uint8_t>(head, config.filter_invalid_during_scan ? 1 : 0);
-  WritePod<double>(head, config.filter_post_threshold);
-  WritePod<double>(head, config.filter_widen_threshold);
-  WritePod<std::uint64_t>(head, config.filter_widen_factor);
+  WritePod<double>(head, kUnusedPostThreshold);
+  WritePod<double>(head, kUnusedWidenThreshold);
+  WritePod<std::uint64_t>(head, kUnusedWidenFactor);
 
   const CoarseQuantizer& quantizer = index.quantizer();
   WritePod<std::uint64_t>(head, quantizer.dim());
@@ -358,7 +366,7 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
   WritePod<std::uint64_t>(head, index.size());
   std::map<CategoryId, std::uint64_t> category_populations;
   index.ForEachEntry([&](LocalId, const AttributeSnapshot& snapshot,
-                         FeatureView, bool valid) {
+                         const std::uint8_t*, FeatureView, bool valid) {
     WriteString(head, snapshot.image_url);
     WritePod<std::uint64_t>(head, snapshot.product_id);
     WritePod<std::uint32_t>(head, snapshot.category);
@@ -446,7 +454,6 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
 
 std::unique_ptr<IvfIndex> LoadTieredSnapshot(const std::string& path,
                                              const TieredStoreConfig& tier_config,
-                                             CopyExecutor copy_executor,
                                              std::uint64_t* update_hwm) {
   ParsedHead head = [&] {
     std::ifstream is(path, std::ios::binary);
@@ -477,8 +484,7 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshot(const std::string& path,
 
   auto quantizer = std::make_shared<const CoarseQuantizer>(
       std::move(head.centroids), head.dim);
-  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config,
-                                          std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config);
   if (index->padded_dim() != head.padded_dim) {
     throw SnapshotError(
         "v4 row stride mismatch: snapshot rows are " +
@@ -504,9 +510,8 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshot(const std::string& path,
         file.data() + head.payload_base + dir.rel_offset,
         static_cast<std::size_t>(dir.entry_count));
   }
-  index->FinishPendingExpansions();
   VerifyFilters(*index, head);
-  if (!index->feature_storage_aligned()) {
+  if (!index->storage_aligned()) {
     throw SnapshotError("mapped feature storage is not 64-byte aligned");
   }
   // The store owns the mapping; the frozen payload pointers installed above
@@ -571,7 +576,6 @@ TieredVerifyResult VerifyTieredSnapshot(const std::string& path) {
 namespace internal {
 
 std::unique_ptr<IvfIndex> LoadTieredSnapshotHeap(const std::string& path,
-                                                 CopyExecutor copy_executor,
                                                  std::uint64_t* update_hwm) {
   std::ifstream is(path, std::ios::binary);
   if (!is) throw SnapshotError("cannot open for reading: " + path);
@@ -608,8 +612,7 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshotHeap(const std::string& path,
 
   auto quantizer = std::make_shared<const CoarseQuantizer>(
       std::move(head.centroids), head.dim);
-  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config,
-                                          std::move(copy_executor));
+  auto index = std::make_unique<IvfIndex>(std::move(quantizer), head.config);
   for (std::size_t i = 0; i < count; ++i) {
     const EntryMeta& entry = head.entries[i];
     index->AddImage(entry.image_url, entry.product_id, entry.category,
@@ -619,9 +622,8 @@ std::unique_ptr<IvfIndex> LoadTieredSnapshotHeap(const std::string& path,
   for (const EntryMeta& entry : head.entries) {
     if (!entry.valid) index->SetImageValidity(entry.image_url, false);
   }
-  index->FinishPendingExpansions();
   VerifyFilters(*index, head);
-  if (!index->feature_storage_aligned()) {
+  if (!index->storage_aligned()) {
     throw SnapshotError("restored feature storage is not 64-byte aligned");
   }
   return index;

@@ -60,8 +60,9 @@ namespace jdvs {
 // Current tiered snapshot version written by SaveTieredSnapshot.
 inline constexpr std::uint32_t kTieredSnapshotVersion = 5;
 
-// Writes `index` to `path` in the tiered layout. Throws SnapshotError on
-// I/O failure or when the file is flock'd by a live mapping. Must not race
+// Writes `index` (flat-row codec) to `path` in the tiered layout. Throws
+// SnapshotError on I/O failure, a PQ-codec index, or when the file is
+// flock'd by a live mapping. Must not race
 // the index's writer. `version` must be 4 (no checksums, compatibility
 // writer for tests/tools) or 5.
 void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
@@ -77,7 +78,6 @@ void SaveTieredSnapshot(const IvfIndex& index, const std::string& path,
 // appends heap chunks behind each frozen prefix.
 std::unique_ptr<IvfIndex> LoadTieredSnapshot(
     const std::string& path, const TieredStoreConfig& tier_config,
-    CopyExecutor copy_executor = InlineCopyExecutor(),
     std::uint64_t* update_hwm = nullptr);
 
 // One payload segment as recorded in the directory (offsets absolute).
@@ -120,7 +120,6 @@ namespace internal {
 // checksums are verified during the copy (mismatch throws SnapshotError —
 // a heap restore has no quarantine to degrade into).
 std::unique_ptr<IvfIndex> LoadTieredSnapshotHeap(const std::string& path,
-                                                 CopyExecutor copy_executor,
                                                  std::uint64_t* update_hwm);
 
 }  // namespace internal

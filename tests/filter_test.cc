@@ -22,7 +22,7 @@
 #include "filter/filter_expression.h"
 #include "index/ivf_index.h"
 #include "pq/codebook.h"
-#include "pq/ivfpq_index.h"
+#include "pq/codebook.h"
 #include "search/cluster_builder.h"
 #include "search/query_cache.h"
 #include "store/catalog.h"
@@ -423,16 +423,15 @@ TEST(IvfFilterTest, FilterConjoinsWithLegacyCategoryFilter) {
   }
 }
 
-// The generic base-class fallback (over-fetch + post-filter) that non-IVF
-// index types inherit, exercised via a qualified call on the IVF instance.
+// The over-fetch + post-filter fallback, the no-pushdown baseline.
 TEST(IvfFilterTest, BaseClassFallbackFiltersCorrectly) {
   FlatFixture fx(800, 8);
   FilterExpression filter;
   filter.WithCategory(1);
   FilterScanStats stats;
-  const auto hits = fx.index->ImageIndex::Search(
-      fx.Query(5), 10, fx.quantizer->num_clusters(), kNoCategoryFilter,
-      filter, &stats);
+  const auto hits = OverFetchFilteredSearch(
+      *fx.index, fx.Query(5), 10, fx.quantizer->num_clusters(),
+      kNoCategoryFilter, filter, &stats);
   EXPECT_EQ(stats.strategy, FilterScanStats::Strategy::kFallback);
   ASSERT_EQ(hits.size(), 10u);
   const auto oracle = fx.BruteForceTopK(fx.Query(5), 10, filter);
@@ -515,9 +514,9 @@ struct PqFilterFixture {
         ProductQuantizer::Train(training, pc));
   }
 
-  std::unique_ptr<IvfPqIndex> Build(std::size_t images,
-                                    IvfPqIndexConfig config = {}) {
-    auto index = std::make_unique<IvfPqIndex>(quantizer, pq, config);
+  std::unique_ptr<IvfIndex> Build(std::size_t images,
+                                  IvfIndexConfig config = {}) {
+    auto index = std::make_unique<IvfIndex>(quantizer, config, pq);
     Rng rng(55);
     features.clear();
     for (std::size_t i = 0; i < images; ++i) {
@@ -541,7 +540,7 @@ struct PqFilterFixture {
 
 TEST(IvfPqFilterTest, HitsSatisfyPredicatesAcrossSelectivities) {
   PqFilterFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
   const auto index = fx.Build(2000, config);
   const std::uint64_t thresholds[] = {1000, 1900, 1998};  // 50% / 5% / 0.1%
@@ -572,10 +571,9 @@ TEST(IvfPqFilterTest, HitsSatisfyPredicatesAcrossSelectivities) {
 
 TEST(IvfPqFilterTest, RerankPreservesPredicates) {
   PqFilterFixture fx;
-  IvfPqIndexConfig config;
+  IvfIndexConfig config;
   config.nprobe = 16;
   config.rerank_candidates = 50;  // IVFADC+R: exact re-rank of the shortlist
-  config.keep_raw_vectors = true;
   const auto index = fx.Build(1000, config);
   FilterExpression filter;
   filter.WithCategory(4).WithMin(FilterField::kSales, 200);
@@ -603,18 +601,18 @@ TEST(IvfPqFilterTest, ZeroMatchIsEmptyButSuccessful) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared planner: both IVF indexes plan a filter the same way
+// Shared planner: both list codecs plan a filter the same way
 // ---------------------------------------------------------------------------
 
-// An IVF-PQ index over exactly the flat fixture's entries and quantizer.
-std::unique_ptr<IvfPqIndex> PqTwinOf(const FlatFixture& fx) {
+// A PQ-codec index over exactly the flat fixture's entries and quantizer.
+std::unique_ptr<IvfIndex> PqTwinOf(const FlatFixture& fx) {
   std::vector<FeatureVector> training;
   for (const auto& e : fx.entries) training.push_back(e.feature);
   ProductQuantizerConfig pc;
   pc.num_subspaces = 8;
   pc.codebook_size = 64;
-  auto index = std::make_unique<IvfPqIndex>(
-      fx.quantizer,
+  auto index = std::make_unique<IvfIndex>(
+      fx.quantizer, IvfIndexConfig{},
       std::make_shared<ProductQuantizer>(ProductQuantizer::Train(training, pc)));
   for (const auto& e : fx.entries) {
     index->AddImage(e.url, e.product, e.category, e.attributes, "", e.feature);
@@ -642,10 +640,10 @@ TEST(FilterPlanTest, FlatAndPqIndexesReportIdenticalPlans) {
   }
 }
 
-// With filter_invalid_during_scan = false the flat index leaves validity
-// out of the bitmap (it is applied at result materialization), while the PQ
-// index always folds it in: invalidated rows still count as matches for
-// the former only.
+// With filter_invalid_during_scan = false an index leaves validity out of
+// the bitmap (it is applied at result materialization), while the default
+// PQ twin folds it in: invalidated rows still count as matches for the
+// former only.
 TEST(FilterPlanTest, ValidityFoldsIntoPqBitmapButNotUnderFlatAblation) {
   IvfIndexConfig config;
   config.filter_invalid_during_scan = false;

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "embedding/extractor.h"
 #include "index/ivf_index.h"
+#include "pq/codebook.h"
 #include "vecmath/distance.h"
 
 namespace jdvs {
@@ -143,15 +144,13 @@ TEST(IvfIndexTest, HasImageHasProduct) {
 
 TEST(IvfIndexTest, StatsReflectState) {
   auto quantizer = GridQuantizer();
-  IvfIndexConfig config;
-  config.initial_list_capacity = 2;
-  IvfIndex index(quantizer, config);
+  IvfIndex index(quantizer);
+  // Two lists of 25: each outgrows its first 16-entry ScanBlock chunk.
   for (int i = 0; i < 50; ++i) {
     index.AddImage("u" + std::to_string(i), i, 0, Attrs(), "",
-                   NearCentroid(*quantizer, i % 4, 0.2f, i));
+                   NearCentroid(*quantizer, i % 2, 0.2f, i));
   }
   index.SetProductValidity(0, false);
-  index.FinishPendingExpansions();
   const IvfIndexStats stats = index.Stats();
   EXPECT_EQ(stats.total_images, 50u);
   EXPECT_EQ(stats.valid_images, 49u);
@@ -247,12 +246,14 @@ TEST(IvfIndexTest, CategoryFilterScopesResults) {
   EXPECT_TRUE(index.Search(probe, 20, 4, /*category_filter=*/7).empty());
 }
 
-TEST(IvfIndexTest, ConcurrentSearchDuringInserts) {
-  auto quantizer = GridQuantizer();
+// One writer appending 20k images (every list grows through many ScanBlock
+// chunks) while four readers search; run on each list codec.
+void ConcurrentSearchDuringInserts(
+    std::shared_ptr<const CoarseQuantizer> quantizer,
+    std::shared_ptr<const ProductQuantizer> pq) {
   IvfIndexConfig config;
-  config.initial_list_capacity = 8;
   config.nprobe = 4;
-  IvfIndex index(quantizer, config);
+  IvfIndex index(quantizer, config, std::move(pq));
   std::atomic<bool> stop{false};
   std::atomic<int> errors{0};
   std::vector<std::thread> readers;
@@ -277,6 +278,24 @@ TEST(IvfIndexTest, ConcurrentSearchDuringInserts) {
   for (auto& t : readers) t.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(index.size(), 20000u);
+}
+
+TEST(IvfIndexTest, ConcurrentSearchDuringInserts) {
+  ConcurrentSearchDuringInserts(GridQuantizer(), nullptr);
+}
+
+TEST(IvfPqIndexTest, ConcurrentSearchDuringInserts) {
+  auto quantizer = GridQuantizer();
+  std::vector<FeatureVector> training;
+  for (int i = 0; i < 512; ++i) {
+    training.push_back(NearCentroid(*quantizer, i % 4, 0.5f, 40000 + i));
+  }
+  ProductQuantizerConfig pc;
+  pc.num_subspaces = 4;
+  pc.codebook_size = 16;
+  ConcurrentSearchDuringInserts(
+      quantizer, std::make_shared<ProductQuantizer>(
+                     ProductQuantizer::Train(training, pc)));
 }
 
 }  // namespace

@@ -85,14 +85,12 @@ TEST_F(SnapshotTest, RoundTripPreservesConfig) {
   SaveIndexSnapshot(*built.index, path);
   const auto loaded = LoadIndexSnapshot(path);
   EXPECT_EQ(loaded->config().nprobe, built.index->config().nprobe);
-  EXPECT_EQ(loaded->config().initial_list_capacity,
-            built.index->config().initial_list_capacity);
   EXPECT_EQ(loaded->dim(), built.index->dim());
 }
 
 // Snapshot v3 persists the attribute filter state (category bitmaps +
 // numeric columns): a loaded index answers hybrid filtered queries
-// identically, and the filter knobs survive the config round trip.
+// identically.
 TEST_F(SnapshotTest, RoundTripPreservesFilteredSearch) {
   Built built;
   built.index->SetProductValidity(7, false);
@@ -100,12 +98,6 @@ TEST_F(SnapshotTest, RoundTripPreservesFilteredSearch) {
   SaveIndexSnapshot(*built.index, path);
   const auto loaded = LoadIndexSnapshot(path);
 
-  EXPECT_EQ(loaded->config().filter_post_threshold,
-            built.index->config().filter_post_threshold);
-  EXPECT_EQ(loaded->config().filter_widen_threshold,
-            built.index->config().filter_widen_threshold);
-  EXPECT_EQ(loaded->config().filter_widen_factor,
-            built.index->config().filter_widen_factor);
   EXPECT_EQ(loaded->attribute_filters().ColumnChecksum(),
             built.index->attribute_filters().ColumnChecksum());
 
@@ -165,7 +157,7 @@ TEST_F(SnapshotTest, HighWaterMarkRoundTrips) {
   const std::string path = PathFor("hwm.snap");
   SaveIndexSnapshot(*built.index, path, /*update_hwm=*/42);
   std::uint64_t hwm = 0;
-  const auto loaded = LoadIndexSnapshot(path, InlineCopyExecutor(), &hwm);
+  const auto loaded = LoadIndexSnapshot(path, &hwm);
   EXPECT_EQ(hwm, 42u);
   EXPECT_EQ(loaded->size(), built.index->size());
   // Omitting the out-param still loads.
@@ -202,7 +194,7 @@ TEST_F(SnapshotTest, SearcherSnapshotDuringConcurrentUpdates) {
   writer.join();
 
   std::uint64_t hwm = 0;
-  const auto loaded = LoadIndexSnapshot(path, InlineCopyExecutor(), &hwm);
+  const auto loaded = LoadIndexSnapshot(path, &hwm);
   EXPECT_LE(hwm, kMessages);
   for (std::uint64_t seq = 1; seq <= kMessages; ++seq) {
     EXPECT_EQ(loaded->HasProduct(1000 + seq), seq <= hwm) << "seq " << seq;
@@ -245,11 +237,10 @@ struct PqBuilt {
     pc.codebook_size = 32;
     auto pq = std::make_shared<ProductQuantizer>(
         ProductQuantizer::Train(training, pc));
-    IvfPqIndexConfig config;
+    IvfIndexConfig config;
     config.nprobe = 8;
-    config.keep_raw_vectors = keep_raw;
     config.rerank_candidates = keep_raw ? 20 : 0;
-    index = std::make_unique<IvfPqIndex>(quantizer, pq, config);
+    index = std::make_unique<IvfIndex>(quantizer, config, pq);
     const ProductAttributes attrs{.sales = 4, .price_cents = 99, .praise = 2};
     for (ProductId pid = 1; pid <= 60; ++pid) {
       for (std::uint32_t k = 0; k < 2; ++k) {
@@ -262,7 +253,7 @@ struct PqBuilt {
     index->SetProductValidity(9, false);
   }
   SyntheticEmbedder embedder{{.dim = 24, .num_categories = 8, .seed = 6}};
-  std::unique_ptr<IvfPqIndex> index;
+  std::unique_ptr<IvfIndex> index;
 };
 
 TEST_F(SnapshotTest, PqRoundTripPreservesSearchResults) {
@@ -317,6 +308,56 @@ TEST_F(SnapshotTest, PqTruncatedThrows) {
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
   EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+}
+
+// Byte offset of entry 0 in a PQ snapshot of `index`, following the layout
+// pq/pq_snapshot.cc writes.
+std::size_t FirstPqEntryOffset(const IvfIndex& index) {
+  const std::size_t header = 8 + 4 + 8 + 8 + 8 + 1;  // magic..raw flag
+  const std::size_t coarse =
+      16 + index.quantizer().num_clusters() * index.dim() * sizeof(float);
+  const std::size_t codebooks =
+      16 + index.pq()->codebooks().size() * sizeof(float);
+  return header + coarse + codebooks + 8;  // + entry count
+}
+
+// A list id or a code byte out of range in the file is rejected at load
+// instead of indexing past the lists or the ADC table at search time.
+TEST_F(SnapshotTest, PqCorruptListOrCodeThrows) {
+  PqBuilt built;
+  const std::string good = PathFor("pq.snap");
+  SaveIvfPqSnapshot(*built.index, good);
+  // Entry 0 starts with its URL; its detail URL is empty.
+  const std::string url = MakeImageUrl(1, 0);
+  const std::size_t entry = FirstPqEntryOffset(*built.index);
+  {
+    std::ifstream f(good, std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(entry));
+    std::uint32_t length = 0;
+    f.read(reinterpret_cast<char*>(&length), sizeof(length));
+    std::string stored(length, '\0');
+    f.read(stored.data(), length);
+    ASSERT_EQ(stored, url);
+  }
+  const std::size_t list_offset = entry + 4 + url.size() + 8 + 4 + 3 * 8 + 4;
+  const auto corrupt = [&](const std::string& name, std::size_t offset,
+                           const void* bytes, std::size_t n) {
+    const std::string path = PathFor(name);
+    std::filesystem::copy_file(good, path);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(n));
+    return path;
+  };
+  const std::uint32_t bad_list = 1000000;
+  EXPECT_THROW(LoadIvfPqSnapshot(corrupt("bad_list.snap", list_offset,
+                                         &bad_list, sizeof(bad_list))),
+               SnapshotError);
+  const std::uint8_t bad_code = 250;  // codebook_size is 32
+  // The code follows the list id and the validity byte.
+  EXPECT_THROW(LoadIvfPqSnapshot(corrupt("bad_code.snap",
+                                         list_offset + 4 + 1, &bad_code, 1)),
+               SnapshotError);
 }
 
 }  // namespace

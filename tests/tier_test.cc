@@ -97,7 +97,7 @@ TEST_F(TierTest, MappedLoadIsBitExactAgainstOriginal) {
 
   std::uint64_t hwm = 0;
   const auto mapped =
-      LoadTieredSnapshot(path, TieredStoreConfig{}, InlineCopyExecutor(), &hwm);
+      LoadTieredSnapshot(path, TieredStoreConfig{}, &hwm);
   EXPECT_EQ(hwm, 17u);
   ASSERT_NE(mapped->tiered_store(), nullptr);
   EXPECT_EQ(mapped->size(), built.index->size());
@@ -134,7 +134,7 @@ TEST_F(TierTest, HeapLoadDispatchesV4AndMatchesMapped) {
   // The generic loader must recognize version 4 and produce the same index
   // (it copies everything to heap; no tier store attached).
   std::uint64_t hwm = 0;
-  const auto heap = LoadIndexSnapshot(path, InlineCopyExecutor(), &hwm);
+  const auto heap = LoadIndexSnapshot(path, &hwm);
   EXPECT_EQ(hwm, 9u);
   EXPECT_EQ(heap->tiered_store(), nullptr);
 
