@@ -6,14 +6,20 @@
 // GB/s and distances/s for every dispatch tier this CPU supports, plus the
 // end-to-end IVF scan (seed-style per-entry layout vs the contiguous padded
 // scan), written to BENCH_kernel_roofline.json.
+//
+// `--merge` times the broker merge layer: the flat hit-list merge against
+// an in-binary mirror of the SearchHit merge it replaced, in paired rounds.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "bench_common.h"
 #include "jdvs/jdvs.h"
@@ -685,12 +691,169 @@ int Run() {
 
 }  // namespace
 }  // namespace roofline
+
+// ---- Broker merge layer (--merge) ----
+namespace merge_layer {
+namespace {
+
+// In-binary mirror of the merge the serving path ran before flat hit lists:
+// every partial's SearchHits (two owned strings each) are moved into one
+// vector, partially sorted, truncated to k and de-duplicated; the losers'
+// strings are freed with the vector.
+std::vector<SearchHit> FatMerge(std::vector<std::vector<SearchHit>> partials,
+                                std::size_t k) {
+  std::vector<SearchHit> merged;
+  std::size_t total = 0;
+  for (const auto& p : partials) total += p.size();
+  merged.reserve(total);
+  for (auto& p : partials) {
+    std::move(p.begin(), p.end(), std::back_inserter(merged));
+  }
+  const auto by_distance = [](const SearchHit& a, const SearchHit& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    return a.image_id < b.image_id;
+  };
+  if (merged.size() > k) {
+    std::partial_sort(merged.begin(), merged.begin() + k, merged.end(),
+                      by_distance);
+    merged.resize(k);
+  } else {
+    std::sort(merged.begin(), merged.end(), by_distance);
+  }
+  std::vector<SearchHit> deduped;
+  deduped.reserve(merged.size());
+  for (auto& hit : merged) {
+    const bool seen =
+        std::any_of(deduped.begin(), deduped.end(), [&](const SearchHit& h) {
+          return h.image_id == hit.image_id;
+        });
+    if (!seen) deduped.push_back(std::move(hit));
+  }
+  return deduped;
+}
+
+double Quartile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+}
+
+// One broker's merge on the testbed: 7 partitions x fetch_k = 20 hits into
+// 20. Each timed window merges a batch of pre-built inputs and frees them,
+// so both arms pay their own teardown (the fat arm frees 280 strings per
+// merge, the flat arm 14 buffers). Arms alternate within each round and
+// the per-round ratio is medianed, as the roofline's paired windows do.
+int Run() {
+  bench::PrintHeader(
+      "bench_micro_core --merge: broker merge layer",
+      "Section 2.4: each broker merges its searchers' top-k lists");
+  constexpr std::size_t kPartials = 7;
+  constexpr std::size_t kHitsPerPartial = 20;
+  constexpr std::size_t kK = 20;
+  constexpr std::size_t kBatch = 512;
+  constexpr int kRounds = 21;
+
+  Rng rng(17);
+  std::vector<std::vector<SearchHit>> fat_input(kPartials);
+  for (auto& partial : fat_input) {
+    for (std::size_t r = 0; r < kHitsPerPartial; ++r) {
+      SearchHit hit;
+      hit.product_id = 1 + rng.Below(20'000);
+      hit.image_url =
+          MakeImageUrl(hit.product_id, static_cast<std::uint32_t>(r % 7));
+      hit.image_id = Fnv1a64(hit.image_url);
+      hit.distance = static_cast<float>(rng.NextDouble());
+      hit.category = static_cast<CategoryId>(hit.product_id % 50);
+      hit.attributes = {.sales = rng.Below(1000),
+                        .price_cents = rng.Below(100'000),
+                        .praise = rng.Below(500)};
+      hit.detail_url =
+          "https://item.jd.com/" + std::to_string(hit.product_id) + ".html";
+      partial.push_back(std::move(hit));
+    }
+    std::sort(partial.begin(), partial.end(),
+              [](const SearchHit& a, const SearchHit& b) {
+                return a.distance < b.distance;
+              });
+  }
+  std::vector<HitList> flat_input;
+  for (const auto& partial : fat_input) {
+    flat_input.push_back(HitList::FromSearchHits(partial));
+  }
+
+  // Both merges must agree before either is timed.
+  {
+    std::vector<const HitList*> views;
+    for (const HitList& list : flat_input) views.push_back(&list);
+    const HitList flat = MergeHitLists(views, kK);
+    const std::vector<SearchHit> fat = FatMerge(fat_input, kK);
+    if (flat.size() != fat.size()) return 1;
+    for (std::size_t i = 0; i < fat.size(); ++i) {
+      if (flat[i].image_id != fat[i].image_id ||
+          flat.image_url(i) != fat[i].image_url) {
+        return 1;
+      }
+    }
+  }
+
+  std::vector<double> fat_ns, flat_ns, ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::vector<std::vector<SearchHit>>> fat_batch(kBatch,
+                                                               fat_input);
+    auto start = std::chrono::steady_clock::now();
+    for (auto& partials : fat_batch) {
+      benchmark::DoNotOptimize(FatMerge(std::move(partials), kK));
+    }
+    fat_batch.clear();
+    const double fat =
+        std::chrono::duration<double, std::nano>(
+            std::chrono::steady_clock::now() - start)
+            .count() /
+        kBatch;
+
+    std::vector<std::vector<HitList>> flat_batch(kBatch, flat_input);
+    start = std::chrono::steady_clock::now();
+    for (auto& lists : flat_batch) {
+      std::array<const HitList*, kPartials> views;
+      for (std::size_t p = 0; p < kPartials; ++p) views[p] = &lists[p];
+      benchmark::DoNotOptimize(MergeHitLists(views, kK));
+      lists.clear();
+    }
+    flat_batch.clear();
+    const double flat =
+        std::chrono::duration<double, std::nano>(
+            std::chrono::steady_clock::now() - start)
+            .count() /
+        kBatch;
+    fat_ns.push_back(fat);
+    flat_ns.push_back(flat);
+    ratios.push_back(fat / flat);
+  }
+  std::printf("\n%zu partials x %zu hits -> %zu, %d paired rounds of %zu "
+              "merges (median [q1, q3]):\n",
+              kPartials, kHitsPerPartial, kK, kRounds, kBatch);
+  std::printf("  SearchHit merge (mirror)  %8.0f ns  [%.0f, %.0f]\n",
+              Quartile(fat_ns, 0.5), Quartile(fat_ns, 0.25),
+              Quartile(fat_ns, 0.75));
+  std::printf("  flat hit-list merge       %8.0f ns  [%.0f, %.0f]\n",
+              Quartile(flat_ns, 0.5), Quartile(flat_ns, 0.25),
+              Quartile(flat_ns, 0.75));
+  std::printf("  ratio SearchHit / flat    %8.2fx    [%.2f, %.2f]\n",
+              Quartile(ratios, 0.5), Quartile(ratios, 0.25),
+              Quartile(ratios, 0.75));
+  return 0;
+}
+
+}  // namespace
+}  // namespace merge_layer
 }  // namespace jdvs
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--roofline") {
       return jdvs::roofline::Run();
+    }
+    if (std::string_view(argv[i]) == "--merge") {
+      return jdvs::merge_layer::Run();
     }
   }
   benchmark::Initialize(&argc, argv);

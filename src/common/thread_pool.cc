@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <chrono>
 
@@ -138,6 +140,10 @@ bool ThreadPool::NextTask(std::unique_lock<std::mutex>& lock, Item& out) {
 
 void ThreadPool::WorkerLoop() {
   tls_pool = this;
+  // Workers carry their pool's name (the node's, for node pools), so
+  // /proc/<pid>/task/*/comm and any profiler can attribute CPU to a pool.
+  // Linux caps thread names at 15 characters.
+  pthread_setname_np(pthread_self(), name_.substr(0, 15).c_str());
   Item item;
   std::unique_lock lock(mu_);
   while (NextTask(lock, item)) {

@@ -28,9 +28,10 @@ namespace jdvs {
 
 class ThreadPool {
  public:
-  // `name` is informational (thread naming); `queue_capacity` bounds the
-  // backlog (ready plus delayed tasks) so a saturated node exerts
-  // backpressure instead of growing without bound.
+  // `name` names the worker threads (its first 15 characters, the Linux
+  // limit); `queue_capacity` bounds the backlog (ready plus delayed tasks)
+  // so a saturated node exerts backpressure instead of growing without
+  // bound.
   explicit ThreadPool(std::size_t num_threads, std::string name = "pool",
                       std::size_t queue_capacity = 16384);
   ~ThreadPool();

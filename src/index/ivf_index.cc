@@ -312,30 +312,30 @@ void IvfIndex::ScanList(std::size_t list, const Score& score,
   });
 }
 
-SearchHit IvfIndex::MaterializeHit(const ScoredImage& scored) const {
-  const auto local = static_cast<LocalId>(scored.image_id);
-  const AttributeSnapshot snapshot = forward_.Get(local);
-  SearchHit hit;
-  hit.image_id = snapshot.image_id;
-  hit.distance = scored.distance;
-  hit.product_id = snapshot.product_id;
-  hit.category = snapshot.category;
-  hit.attributes = snapshot.attributes;
-  hit.image_url = std::string(snapshot.image_url);
-  hit.detail_url = std::string(snapshot.detail_url);
-  return hit;
-}
-
-std::vector<SearchHit> IvfIndex::MaterializeRanked(
-    std::span<const ScoredImage> ranked) const {
-  std::vector<SearchHit> hits;
-  hits.reserve(ranked.size());
+HitList IvfIndex::MaterializeRanked(std::span<const ScoredImage> ranked) const {
+  // Size the URL buffer first so the list costs two allocations. A
+  // concurrent detail-URL update between the passes only makes the
+  // reservation a hint.
+  std::size_t url_bytes = 0;
   for (const ScoredImage& scored : ranked) {
-    if (!config_.filter_invalid_during_scan &&
-        !valid_.Get(static_cast<LocalId>(scored.image_id))) {
+    const AttributeSnapshot snapshot =
+        forward_.Get(static_cast<LocalId>(scored.image_id));
+    url_bytes += snapshot.image_url.size() + snapshot.detail_url.size();
+  }
+  HitList hits;
+  hits.Reserve(ranked.size(), url_bytes);
+  for (const ScoredImage& scored : ranked) {
+    const auto local = static_cast<LocalId>(scored.image_id);
+    if (!config_.filter_invalid_during_scan && !valid_.Get(local)) {
       continue;  // late filtering (ablation baseline)
     }
-    hits.push_back(MaterializeHit(scored));
+    const AttributeSnapshot snapshot = forward_.Get(local);
+    hits.Append({.image_id = snapshot.image_id,
+                 .distance = scored.distance,
+                 .category = snapshot.category,
+                 .product_id = snapshot.product_id,
+                 .attributes = snapshot.attributes},
+                snapshot.image_url, snapshot.detail_url);
   }
   return hits;
 }
@@ -413,6 +413,17 @@ std::vector<SearchHit> IvfIndex::Search(FeatureView query, std::size_t k,
                                         FilterScanStats* stats,
                                         Micros io_budget_micros,
                                         TierScanStats* tier_stats) const {
+  return SearchRows(query, k, nprobe_override, category_filter, filter, stats,
+                    io_budget_micros, tier_stats)
+      .ToSearchHits();
+}
+
+HitList IvfIndex::SearchRows(FeatureView query, std::size_t k,
+                             std::size_t nprobe_override,
+                             CategoryId category_filter,
+                             const FilterExpression* filter,
+                             FilterScanStats* stats, Micros io_budget_micros,
+                             TierScanStats* tier_stats) const {
   assert(query.size() == dim());
   const std::size_t nprobe =
       nprobe_override == 0 ? config_.nprobe : nprobe_override;
@@ -501,11 +512,7 @@ std::vector<SearchHit> IvfIndex::ExhaustiveSearch(
       }
     });
   }
-  std::vector<SearchHit> hits;
-  for (const ScoredImage& scored : topk.TakeSorted()) {
-    hits.push_back(MaterializeHit(scored));
-  }
-  return hits;
+  return MaterializeRanked(topk.TakeSorted()).ToSearchHits();
 }
 
 void IvfIndex::ForEachEntry(

@@ -45,6 +45,7 @@
 #include "filter/filter_plan.h"
 #include "index/bitmap.h"
 #include "index/forward_index.h"
+#include "index/hit_list.h"
 #include "index/scan_block.h"
 #include "mq/message.h"
 #include "pq/codebook.h"
@@ -82,18 +83,6 @@ struct IvfIndexStats {
   // Heap bytes allocated for posting lists (payloads, ids, norms).
   std::size_t code_memory_bytes = 0;
   std::size_t raw_memory_bytes = 0;  // IVFADC+R refinement store, if kept
-};
-
-// One search result as shipped from searcher to broker to blender. Strings
-// are owned copies: results cross (simulated) process boundaries.
-struct SearchHit {
-  ImageId image_id = 0;
-  float distance = 0.f;
-  ProductId product_id = 0;
-  CategoryId category = 0;
-  ProductAttributes attributes;
-  std::string image_url;
-  std::string detail_url;
 };
 
 class IvfIndex {
@@ -172,12 +161,18 @@ class IvfIndex {
                                 const FilterExpression& filter,
                                 FilterScanStats* stats = nullptr) const;
 
-  // Full-fat search: every per-query knob in one call (the overloads above
-  // forward here). `filter` may be null or empty (unfiltered). In tiered
-  // mode the probed lists are pinned in the residency cache before the scan;
+  // Full-fat search: every per-query knob in one call, answering with the
+  // flat hit list the searcher ships (every Search overload converts from
+  // it). `filter` may be null or empty (unfiltered). In tiered mode the
+  // probed lists are pinned in the residency cache before the scan;
   // `io_budget_micros` bounds the accumulated cold-list fault time (0 = no
   // limit; probes past the budget are dropped — a reduced effective nprobe)
   // and `tier_stats` receives the hit/fault accounting.
+  HitList SearchRows(FeatureView query, std::size_t k,
+                     std::size_t nprobe_override, CategoryId category_filter,
+                     const FilterExpression* filter, FilterScanStats* stats,
+                     Micros io_budget_micros, TierScanStats* tier_stats) const;
+  // SearchRows as SearchHits.
   std::vector<SearchHit> Search(FeatureView query, std::size_t k,
                                 std::size_t nprobe_override,
                                 CategoryId category_filter,
@@ -304,11 +299,10 @@ class IvfIndex {
   void Publish(LocalId local, std::string_view image_url,
                ProductId product_id);
 
-  SearchHit MaterializeHit(const ScoredImage& scored) const;
-  // Materializes ranked scan results, applying the late validity filter when
+  // The one materialization routine: ranked (local id, distance) pairs to
+  // hit rows off the forward index, applying the late validity filter when
   // the ablation flag disabled filtering during the scan.
-  std::vector<SearchHit> MaterializeRanked(
-      std::span<const ScoredImage> ranked) const;
+  HitList MaterializeRanked(std::span<const ScoredImage> ranked) const;
   // Scans one list through the shared 64-entry sub-block admission loop.
   // `score(payload, norms, n, threshold, keep, keep_dist)` is the codec: it
   // computes the distances of `n` consecutive entries and writes the

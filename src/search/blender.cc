@@ -524,13 +524,13 @@ void Blender::FinishQuery(const std::shared_ptr<RequestState>& state,
   std::size_t partitions_failed = 0;
   std::size_t tier_degraded = 0;
   std::string first_error;
-  std::vector<std::vector<SearchHit>> partials;
+  std::vector<const HitList*> partials;
   partials.reserve(slots.size());
-  for (auto& slot : slots) {
+  for (const auto& slot : slots) {
     if (slot.ok()) {
       partitions_failed += slot.value->partitions_failed;
       tier_degraded += slot.value->tier_degraded;
-      partials.push_back(std::move(slot.value->hits));
+      partials.push_back(&slot.value->hits);
     } else {
       ++failures;
       if (first_error.empty()) first_error = DescribeException(slot.error);
@@ -566,12 +566,13 @@ void Blender::FinishQuery(const std::shared_ptr<RequestState>& state,
 
   // 4. "combines and ranks the results": merge by distance, then rank by
   //    similarity + sales/praise/price attributes — unless ranking was
-  //    degraded away (level 2), in which case distance order stands.
+  //    degraded away (level 2), in which case distance order stands. The
+  //    merge winners are the first SearchHits of the query path.
   {
     obs::Span rank = state->root.StartChild("rank", node_.name());
     const Stopwatch rank_watch(MonotonicClock::Instance());
     std::vector<SearchHit> merged =
-        MergeHits(std::move(partials), state->fetch_k);
+        MergeHitLists(partials, state->fetch_k).ToSearchHits();
     if (state->skip_rerank) {
       rank.AddTag("skipped", std::uint64_t{1});
       state->response.results.reserve(
@@ -579,8 +580,9 @@ void Blender::FinishQuery(const std::shared_ptr<RequestState>& state,
       for (std::size_t i = 0;
            i < merged.size() && i < state->options.k; ++i) {
         // Score = negated distance so larger-is-better still holds.
+        const float distance = merged[i].distance;
         state->response.results.push_back(
-            RankedResult{merged[i], -merged[i].distance});
+            RankedResult{std::move(merged[i]), -distance});
       }
     } else {
       state->response.results =

@@ -173,7 +173,7 @@ struct Broker::FanOutState {
   // slot carries the last replica's error.
   std::vector<std::size_t> slot_partition;
   std::deque<Slot> slots;  // deque: Slot holds atomics + a mutex
-  std::shared_ptr<FanInCollector<std::vector<SearchHit>>> collector;
+  std::shared_ptr<FanInCollector<HitList>> collector;
   std::atomic<std::uint64_t> failovers{0};
   std::atomic<std::uint64_t> hedge_wins{0};
   // Diagnosis fold for Reply: the winning attempt of the slowest slot (the
@@ -226,7 +226,7 @@ std::future<std::vector<SearchHit>> Broker::SearchAsync(
   SearchAsync(std::move(query), k, nprobe, category_filter, std::move(filter),
               deadline, parent, [promise](SearchResult result) {
                 if (result.ok()) {
-                  promise->set_value(std::move(result.value->hits));
+                  promise->set_value(result.value->hits.ToSearchHits());
                 } else {
                   promise->set_exception(result.error);
                 }
@@ -263,7 +263,7 @@ void Broker::StartFanOut(std::shared_ptr<FanOutState> state) {
          !peak_in_flight_.compare_exchange_weak(peak, current,
                                                 std::memory_order_relaxed)) {
   }
-  state->collector = FanInCollector<std::vector<SearchHit>>::Create(
+  state->collector = FanInCollector<HitList>::Create(
       state->slot_partition.size(),
       [this, state](std::vector<Searcher::SearchResult> slots) {
         FinishFanOut(state, std::move(slots));
@@ -549,11 +549,11 @@ void Broker::FinishFanOut(std::shared_ptr<FanOutState> state,
     return;
   }
   Reply reply;
-  std::vector<std::vector<SearchHit>> partials;
+  std::vector<const HitList*> partials;
   partials.reserve(slots.size());
   for (std::size_t slot = 0; slot < slots.size(); ++slot) {
     if (slots[slot].ok()) {
-      partials.push_back(*std::move(slots[slot].value));
+      partials.push_back(&*slots[slot].value);
     } else {
       ++reply.partitions_failed;
       state->span.SetError(
@@ -569,7 +569,7 @@ void Broker::FinishFanOut(std::shared_ptr<FanOutState> state,
       state->hedge_wins.load(std::memory_order_relaxed);
   if (hedge_wins > 0) state->span.AddTag("hedge_wins", hedge_wins);
   // "The broker then combines the results from its subset of searchers."
-  reply.hits = MergeHits(std::move(partials), state->k);
+  reply.hits = MergeHitLists(partials, state->k);
   reply.slowest_attempt_micros =
       state->slowest_attempt.load(std::memory_order_relaxed);
   reply.hedge_wait_micros =

@@ -217,7 +217,7 @@ std::future<std::vector<SearchHit>> Searcher::SearchAsync(
   SearchAsync(std::move(query), k, nprobe, category_filter, std::move(filter),
               deadline, parent, [promise](SearchResult result) {
                 if (result.ok()) {
-                  promise->set_value(*std::move(result.value));
+                  promise->set_value(result.value->ToSearchHits());
                 } else {
                   promise->set_exception(result.error);
                 }
@@ -328,11 +328,13 @@ void Searcher::SearchAsync(FeatureVector query, std::size_t k,
       });
 }
 
-std::vector<SearchHit> Searcher::SearchWithDeadline(
-    FeatureView query, std::size_t k, std::size_t nprobe,
-    CategoryId category_filter, const FilterExpression& filter,
-    FilterScanStats* stats, qos::Deadline deadline,
-    TierScanStats* tier_stats) const {
+HitList Searcher::SearchWithDeadline(FeatureView query, std::size_t k,
+                                     std::size_t nprobe,
+                                     CategoryId category_filter,
+                                     const FilterExpression& filter,
+                                     FilterScanStats* stats,
+                                     qos::Deadline deadline,
+                                     TierScanStats* tier_stats) const {
   const std::shared_ptr<IvfIndex> index =
       index_.load(std::memory_order_acquire);
   if (!index) throw std::runtime_error(node_.name() + ": no index installed");
@@ -345,9 +347,9 @@ std::vector<SearchHit> Searcher::SearchWithDeadline(
     io_budget = std::max<Micros>(
         1, deadline.RemainingMicros(MonotonicClock::Instance()) / 2);
   }
-  return index->Search(query, k, nprobe, category_filter,
-                       filter.empty() ? nullptr : &filter, stats, io_budget,
-                       tier_stats);
+  return index->SearchRows(query, k, nprobe, category_filter,
+                           filter.empty() ? nullptr : &filter, stats,
+                           io_budget, tier_stats);
 }
 
 std::vector<SearchHit> Searcher::SearchLocal(FeatureView query, std::size_t k,

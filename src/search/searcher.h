@@ -167,7 +167,10 @@ class Searcher {
   // integrity rung of the degradation ladder; the broker folds it into the
   // reply so the blender marks the response degraded (results are correct
   // but drawn from fewer lists than requested).
-  using SearchResult = AsyncResult<std::vector<SearchHit>>;
+  //
+  // The reply is a HitList: fixed-size rows plus one URL buffer, owned by
+  // the reply like a serialized message.
+  using SearchResult = AsyncResult<HitList>;
   using SearchCallback = std::function<void(SearchResult)>;
   void SearchAsync(FeatureVector query, std::size_t k, std::size_t nprobe,
                    CategoryId category_filter, FilterExpression filter,
@@ -244,13 +247,11 @@ class Searcher {
   // (caller-owned, may be null) receives the tiered-serving accounting
   // (faults, drops, io time). The io budget handed to the index is carved
   // from the deadline's remaining budget.
-  std::vector<SearchHit> SearchWithDeadline(FeatureView query, std::size_t k,
-                                            std::size_t nprobe,
-                                            CategoryId category_filter,
-                                            const FilterExpression& filter,
-                                            FilterScanStats* stats,
-                                            qos::Deadline deadline,
-                                            TierScanStats* tier_stats) const;
+  HitList SearchWithDeadline(FeatureView query, std::size_t k,
+                             std::size_t nprobe, CategoryId category_filter,
+                             const FilterExpression& filter,
+                             FilterScanStats* stats, qos::Deadline deadline,
+                             TierScanStats* tier_stats) const;
 
   Node node_;
   FeatureDb& features_;

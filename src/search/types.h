@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,16 @@ struct QueryResponse {
 };
 
 // Merges per-searcher / per-broker partial hit lists into a global top-k by
-// distance (each input list is already sorted ascending).
+// distance, ties broken by image id, then by partial and row order. The
+// same image can surface from two replicas on failover retries: of the k
+// closest rows only the first occurrence of each image is kept. The sort
+// moves small (distance, image id, partial, row) references; only the
+// winners' rows and URLs are copied into the result, which owns its bytes.
+HitList MergeHitLists(std::span<const HitList* const> partials, std::size_t k);
+
+// MergeHitLists over SearchHit vectors, for callers that hold hits rather
+// than lists (the benchmark's correctness gates); the serving path never
+// builds SearchHits before the blender's ranking.
 std::vector<SearchHit> MergeHits(std::vector<std::vector<SearchHit>> partials,
                                  std::size_t k);
 

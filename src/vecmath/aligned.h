@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <new>
+#include <type_traits>
 
 namespace jdvs {
 
@@ -41,22 +42,35 @@ struct AlignedFreeDeleter {
 template <typename T>
 using AlignedArray = std::unique_ptr<T[], AlignedFreeDeleter>;
 
-// Allocates `count` Ts at 64-byte alignment, zero-initialized (trivial types
-// only — freed without destructors).
+// Bytes allocated for `count` Ts: whole cache lines (aligned_alloc requires
+// a multiple of the alignment), at least one.
 template <typename T>
-AlignedArray<T> AllocateAligned(std::size_t count) {
+constexpr std::size_t AlignedBytes(std::size_t count) noexcept {
+  const std::size_t bytes = (count * sizeof(T) + kCacheLineBytes - 1) /
+                            kCacheLineBytes * kCacheLineBytes;
+  return bytes == 0 ? kCacheLineBytes : bytes;
+}
+
+// Allocates `count` Ts at 64-byte alignment, uninitialized (trivial types
+// only — freed without destructors). For storage whose every element is
+// written before it is read: untouched pages stay out of the resident set
+// until an element lands on them.
+template <typename T>
+AlignedArray<T> AllocateAlignedUninitialized(std::size_t count) {
   static_assert(std::is_trivial_v<T>,
                 "aligned storage is raw memory: trivial payloads only");
   static_assert(kCacheLineBytes % alignof(T) == 0);
-  // aligned_alloc requires the size to be a multiple of the alignment.
-  const std::size_t bytes =
-      (count * sizeof(T) + kCacheLineBytes - 1) / kCacheLineBytes *
-      kCacheLineBytes;
-  void* p = std::aligned_alloc(kCacheLineBytes, bytes == 0 ? kCacheLineBytes
-                                                           : bytes);
+  void* p = std::aligned_alloc(kCacheLineBytes, AlignedBytes<T>(count));
   if (p == nullptr) throw std::bad_alloc();
-  std::memset(p, 0, bytes == 0 ? kCacheLineBytes : bytes);
   return AlignedArray<T>(static_cast<T*>(p));
+}
+
+// AllocateAlignedUninitialized, zero-filled up to the last cache line.
+template <typename T>
+AlignedArray<T> AllocateAligned(std::size_t count) {
+  AlignedArray<T> array = AllocateAlignedUninitialized<T>(count);
+  std::memset(array.get(), 0, AlignedBytes<T>(count));
+  return array;
 }
 
 }  // namespace jdvs

@@ -177,7 +177,11 @@ TEST(HedgingTest, TimeoutFailoverUnderTotalLoss) {
 
   Broker::Config bc;
   bc.threads = 2;
-  bc.rpc_timeout_micros = 5'000;
+  // The timeout bounds the healthy sibling's attempt too: its two 500 us
+  // hops plus two timed pool wake-ups must fit inside it. On an
+  // oversubscribed host a wake-up can wait several scheduler slices, and at
+  // 5 ms both attempts timed out and the slot failed; 50 ms leaves room.
+  bc.rpc_timeout_micros = 50'000;
   Broker broker("b-loss", bc);
   broker.AddPartition({&h.r0, &h.r1});
 

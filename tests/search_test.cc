@@ -2,10 +2,15 @@
 // failover, blender end-to-end on a hand-built mini-cluster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <unordered_map>
 
+#include "cluster/kmeans.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "index/full_index_builder.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -28,13 +33,24 @@ SearchHit Hit(ImageId id, float distance, std::uint64_t sales = 0) {
   return hit;
 }
 
+// MergeHitLists over lists given as SearchHits (each already sorted).
+HitList Merge(const std::vector<std::vector<SearchHit>>& partials,
+              std::size_t k) {
+  std::vector<HitList> lists;
+  for (const auto& p : partials) lists.push_back(HitList::FromSearchHits(p));
+  std::vector<const HitList*> views;
+  for (const HitList& list : lists) views.push_back(&list);
+  return MergeHitLists(views, k);
+}
+
 TEST(MergeHitsTest, MergesAndTruncates) {
-  std::vector<std::vector<SearchHit>> partials = {
-      {Hit(1, 1.f), Hit(2, 4.f)},
-      {Hit(3, 2.f), Hit(4, 5.f)},
-      {Hit(5, 3.f)},
-  };
-  const auto merged = MergeHits(std::move(partials), 3);
+  const HitList merged = Merge(
+      {
+          {Hit(1, 1.f), Hit(2, 4.f)},
+          {Hit(3, 2.f), Hit(4, 5.f)},
+          {Hit(5, 3.f)},
+      },
+      3);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].image_id, 1u);
   EXPECT_EQ(merged[1].image_id, 3u);
@@ -42,18 +58,99 @@ TEST(MergeHitsTest, MergesAndTruncates) {
 }
 
 TEST(MergeHitsTest, DeduplicatesSameImage) {
-  std::vector<std::vector<SearchHit>> partials = {
-      {Hit(1, 1.f), Hit(2, 2.f)},
-      {Hit(1, 1.f), Hit(3, 3.f)},  // replica returned the same image
-  };
-  const auto merged = MergeHits(std::move(partials), 4);
+  const HitList merged = Merge(
+      {
+          {Hit(1, 1.f), Hit(2, 2.f)},
+          {Hit(1, 1.f), Hit(3, 3.f)},  // replica returned the same image
+      },
+      4);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].image_id, 1u);
 }
 
 TEST(MergeHitsTest, EmptyInputs) {
-  EXPECT_TRUE(MergeHits({}, 5).empty());
-  EXPECT_TRUE(MergeHits({{}, {}}, 5).empty());
+  EXPECT_TRUE(Merge({}, 5).empty());
+  EXPECT_TRUE(Merge({{}, {}}, 5).empty());
+}
+
+// Seeded property test against a reference merge: concatenate every
+// partial in order, stable-sort by (distance, image id), keep the k
+// closest, then drop repeated images (first occurrence wins). Distances
+// come from four values (ties), image ids from a small range (the same
+// image in two partials), some partials are empty and k runs past the
+// total.
+TEST(MergeHitsTest, MatchesReferenceMergeOnRandomPartials) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t num_partials = rng.Below(7);
+    std::vector<std::vector<SearchHit>> partials(num_partials);
+    std::size_t total = 0;
+    for (std::size_t p = 0; p < num_partials; ++p) {
+      const std::size_t n = rng.Below(3) == 0 ? 0 : rng.Below(9);
+      for (std::size_t r = 0; r < n; ++r) {
+        SearchHit hit = Hit(1 + rng.Below(12), 0.5f * (1 + rng.Below(4)),
+                            rng.Below(100));
+        hit.product_id = 100 + hit.image_id;
+        hit.category = static_cast<CategoryId>(rng.Below(5));
+        hit.attributes.price_cents = rng.Below(10'000);
+        hit.attributes.praise = rng.Below(50);
+        // URLs name their partial and row, so the test sees which copy of a
+        // repeated image survived; lengths vary from empty to a few dozen.
+        hit.image_url = std::string(rng.Below(40), 'i') + "/" +
+                        std::to_string(p) + "/" + std::to_string(r);
+        hit.detail_url = std::string(rng.Below(3) == 0 ? 0 : rng.Below(60),
+                                     static_cast<char>('a' + p));
+        partials[p].push_back(std::move(hit));
+      }
+      std::sort(partials[p].begin(), partials[p].end(),
+                [](const SearchHit& a, const SearchHit& b) {
+                  return a.distance != b.distance ? a.distance < b.distance
+                                                  : a.image_id < b.image_id;
+                });
+      total += n;
+    }
+    const std::size_t k = rng.Below(total + 4);
+
+    std::vector<SearchHit> expected;
+    for (const auto& p : partials) {
+      expected.insert(expected.end(), p.begin(), p.end());
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const SearchHit& a, const SearchHit& b) {
+                       return a.distance != b.distance
+                                  ? a.distance < b.distance
+                                  : a.image_id < b.image_id;
+                     });
+    if (expected.size() > k) expected.resize(k);
+    std::vector<SearchHit> deduped;
+    for (const SearchHit& hit : expected) {
+      if (std::none_of(deduped.begin(), deduped.end(),
+                       [&](const SearchHit& h) {
+                         return h.image_id == hit.image_id;
+                       })) {
+        deduped.push_back(hit);
+      }
+    }
+
+    const HitList merged = Merge(partials, k);
+    ASSERT_EQ(merged.size(), deduped.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      const SearchHit got = merged.ToSearchHit(i);
+      EXPECT_EQ(got.image_id, deduped[i].image_id) << "trial " << trial;
+      EXPECT_EQ(got.distance, deduped[i].distance) << "trial " << trial;
+      EXPECT_EQ(got.product_id, deduped[i].product_id);
+      EXPECT_EQ(got.category, deduped[i].category);
+      EXPECT_EQ(got.attributes, deduped[i].attributes);
+      EXPECT_EQ(got.image_url, deduped[i].image_url) << "trial " << trial;
+      EXPECT_EQ(got.detail_url, deduped[i].detail_url) << "trial " << trial;
+    }
+    // The SearchHit form the benchmark's gates use agrees hit for hit.
+    const std::vector<SearchHit> fat = MergeHits(partials, k);
+    ASSERT_EQ(fat.size(), deduped.size());
+    for (std::size_t i = 0; i < fat.size(); ++i) {
+      EXPECT_EQ(fat[i].image_url, deduped[i].image_url);
+    }
+  }
 }
 
 TEST(RankingTest, SimilarityDominates) {
@@ -282,6 +379,115 @@ TEST(BlenderTest, EndToEndQueryFindsSubject) {
   // Scores are descending.
   for (std::size_t i = 1; i < response.results.size(); ++i) {
     EXPECT_GE(response.results[i - 1].score, response.results[i].score);
+  }
+}
+
+// URLs of 0, 1 and 70 000 bytes, in both the image and the detail slot,
+// travel searcher -> broker -> blender inside flat hit lists and arrive
+// byte for byte; ids, distances and attributes equal the searchers' own
+// SearchLocal answers.
+TEST(BlenderTest, UrlsOfAnyLengthArriveByteForByte) {
+  const SyntheticEmbedder embedder(
+      {.dim = 16, .num_categories = 3, .seed = 5});
+  const CategoryDetector detector({.num_categories = 3, .top1_accuracy = 1.0});
+  FeatureDb features(embedder, ExtractionCostModel{.mean_micros = 0});
+  constexpr ProductId kProducts = 12;
+  const auto category_of = [](ProductId pid) {
+    return static_cast<CategoryId>(pid % 3);
+  };
+  // The long URL carries every byte value, NUL included.
+  std::string long_url(70'000, '\0');
+  for (std::size_t i = 0; i < long_url.size(); ++i) {
+    long_url[i] = static_cast<char>(i * 131 + 7);
+  }
+  const auto image_url_of = [&](ProductId pid) -> std::string {
+    switch (pid) {
+      case 1: return "";
+      case 2: return "i";
+      case 3: return long_url;
+      default: return MakeImageUrl(pid, 0);
+    }
+  };
+  const auto detail_url_of = [&](ProductId pid) -> std::string {
+    switch (pid) {
+      case 3: return "d";
+      case 4: return "";
+      case 5: return long_url + "d";
+      default: return "detail/" + std::to_string(pid);
+    }
+  };
+  const auto attributes_of = [](ProductId pid) {
+    return ProductAttributes{
+        .sales = pid * 7, .price_cents = pid * 100 + 1, .praise = pid};
+  };
+
+  std::vector<FeatureVector> sample;
+  for (ProductId pid = 1; pid <= kProducts; ++pid) {
+    sample.push_back(
+        embedder.Extract({MakeImageUrl(pid, 0), pid, category_of(pid)}));
+  }
+  KMeansConfig kc;
+  kc.num_clusters = 2;
+  const auto quantizer =
+      std::make_shared<const CoarseQuantizer>(TrainKMeans(sample, kc));
+  IvfIndexConfig ic;
+  ic.nprobe = 2;  // every list: each searcher answers with all its images
+  auto even = std::make_unique<IvfIndex>(quantizer, ic);
+  auto odd = std::make_unique<IvfIndex>(quantizer, ic);
+  for (ProductId pid = 1; pid <= kProducts; ++pid) {
+    (pid % 2 == 0 ? *even : *odd)
+        .AddImage(image_url_of(pid), pid, category_of(pid), attributes_of(pid),
+                  detail_url_of(pid), sample[pid - 1]);
+  }
+  Searcher s0("url-s0", Searcher::Config{}, features,
+              AcceptAllPartitionFilter());
+  Searcher s1("url-s1", Searcher::Config{}, features,
+              AcceptAllPartitionFilter());
+  s0.InstallIndex(std::move(even));
+  s1.InstallIndex(std::move(odd));
+  Broker broker("url-b", Broker::Config{});
+  broker.AddPartition({&s0});
+  broker.AddPartition({&s1});
+  Blender blender("url-bl", Blender::Config{}, embedder, detector,
+                  {&broker});
+
+  for (ProductId subject = 1; subject <= 6; ++subject) {
+    const QueryImage query{subject, category_of(subject), subject};
+    const FeatureVector feature = embedder.ExtractQuery(
+        query.subject_product, query.true_category, query.query_seed);
+    std::unordered_map<ImageId, SearchHit> local;
+    for (const Searcher* s : {&s0, &s1}) {
+      for (SearchHit& hit : s->SearchLocal(feature, kProducts)) {
+        local.emplace(hit.image_id, std::move(hit));
+      }
+    }
+    ASSERT_EQ(local.size(), kProducts);
+
+    QueryOptions options;
+    options.k = kProducts;
+    const QueryResponse response = blender.Search(query, options);
+    const std::vector<SearchHit> brokered =
+        broker.SearchAsync(feature, kProducts).get();
+    ASSERT_EQ(response.results.size(), kProducts);
+    ASSERT_EQ(brokered.size(), kProducts);
+    std::vector<const SearchHit*> arrived;
+    for (const RankedResult& r : response.results) arrived.push_back(&r.hit);
+    for (const SearchHit& hit : brokered) arrived.push_back(&hit);
+    for (const SearchHit* hit : arrived) {
+      const auto it = local.find(hit->image_id);
+      ASSERT_NE(it, local.end());
+      EXPECT_EQ(hit->distance, it->second.distance);
+      EXPECT_EQ(hit->attributes, it->second.attributes);
+      EXPECT_EQ(hit->product_id, it->second.product_id);
+      EXPECT_EQ(hit->category, it->second.category);
+      EXPECT_EQ(hit->attributes, attributes_of(hit->product_id));
+      EXPECT_TRUE(hit->image_url == image_url_of(hit->product_id))
+          << "image URL of product " << hit->product_id << " arrived with "
+          << hit->image_url.size() << " bytes";
+      EXPECT_TRUE(hit->detail_url == detail_url_of(hit->product_id))
+          << "detail URL of product " << hit->product_id << " arrived with "
+          << hit->detail_url.size() << " bytes";
+    }
   }
 }
 
