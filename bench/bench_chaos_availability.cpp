@@ -580,8 +580,8 @@ DiskFaultResult RunDiskFaults(std::uint64_t seed, bool quick,
   DiskFaultResult out;
   for (std::size_t p = 0; p < kPartitions; ++p) {
     const std::string& path = files[cluster->replica_slot(p, 0)];
-    const TieredDirectoryInfo dir = ReadTieredDirectory(path);
-    for (const TieredSegmentInfo& seg : dir.segments) {
+    const SnapshotDirectory dir = ReadSnapshotDirectory(path);
+    for (const SnapshotSegment& seg : dir.segments) {
       if (seg.bytes == 0) continue;
       if (FaultInjector::FlipBit(path, seg.offset, seg.bytes, seed ^ p)) {
         ++out.corrupted_replicas;

@@ -4,7 +4,9 @@
 // nodes receive the result as an artifact rather than rebuilding locally.
 // This example builds a partition index, saves it to disk, "ships" it to a
 // fresh searcher via InstallFromSnapshot, and verifies both serve identical
-// results — including for the compressed IVF-PQ form.
+// results — and the compressed IVF-PQ form round-trips through the same
+// snapshot format. Exits nonzero if any probe answer disagrees or the PQ
+// reload differs in size or content.
 //
 //   ./index_distribution [--products=2000]
 #include <cstdio>
@@ -106,18 +108,22 @@ int main(int argc, char** argv) {
     }
   });
   const std::string pq_path = (dir / "jdvs_example_pq.snap").string();
-  SaveIvfPqSnapshot(compressed, pq_path);
+  SaveIndexSnapshot(compressed, pq_path);
   const auto pq_bytes = std::filesystem::file_size(pq_path);
-  auto reloaded = LoadIvfPqSnapshot(pq_path);
+  auto reloaded = LoadIndexSnapshot(pq_path);
+  const bool pq_same = reloaded->size() == compressed.size() &&
+                       ComputeIndexDigest(*reloaded) ==
+                           ComputeIndexDigest(compressed);
   std::printf("\nIVF-PQ snapshot: %.1f MB vs %.1f MB flat (%.1fx smaller), "
-              "reloaded %zu images\n",
+              "reloaded %zu of %zu images, digest %s\n",
               static_cast<double>(pq_bytes) / 1e6,
               static_cast<double>(flat_bytes) / 1e6,
               static_cast<double>(flat_bytes) /
                   static_cast<double>(pq_bytes),
-              reloaded->size());
+              reloaded->size(), compressed.size(),
+              pq_same ? "equal" : "DIFFERS");
 
   std::filesystem::remove(flat_path);
   std::filesystem::remove(pq_path);
-  return 0;
+  return agreements == 25 && pq_same ? 0 : 1;
 }

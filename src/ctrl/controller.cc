@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "index/snapshot.h"
-#include "tier/tiered_snapshot.h"
 
 namespace jdvs::ctrl {
 
@@ -102,7 +101,7 @@ void ClusterController::SnapshotAllPartitions() {
           !searcher.HasIndex()) {
         continue;
       }
-      searcher.SaveIndexSnapshot(SnapshotPath(p));
+      searcher.SaveTieredSnapshot(SnapshotPath(p));
       has_snapshot_[p] = true;
       break;
     }
@@ -290,7 +289,7 @@ std::size_t ClusterController::RestoreIndex(std::size_t partition,
     if (!written) {
       const std::uint64_t hwm = cluster_.last_update_sequence();
       const auto index = cluster_.BuildPartitionIndex(partition);
-      jdvs::SaveTieredSnapshot(*index, path, hwm);
+      SaveIndexSnapshot(*index, path, hwm);
     }
     searcher.InstallFromTieredSnapshot(path, config_.tiered_resident_budget);
     // The replaced generation's mapping just died with the old index; its
@@ -317,7 +316,7 @@ std::size_t ClusterController::RestoreIndex(std::size_t partition,
           !sibling.HasIndex()) {
         continue;
       }
-      sibling.SaveIndexSnapshot(SnapshotPath(partition));
+      sibling.SaveTieredSnapshot(SnapshotPath(partition));
       has_snapshot_[partition] = true;
       searcher.InstallFromSnapshot(SnapshotPath(partition));
       installed = true;

@@ -241,7 +241,7 @@ class IvfIndex {
   // Appends an entry's metadata only — forward index, attribute filters,
   // validity, lookup maps — without touching the posting lists; the feature
   // row arrives later through AttachFrozenList. The restore-path twin of
-  // AddImage for the v4 mapped loader.
+  // AddImage for the mapped snapshot loader.
   LocalId AddImageMetadata(std::string_view image_url, ProductId product_id,
                            CategoryId category,
                            const ProductAttributes& attributes,
@@ -250,7 +250,7 @@ class IvfIndex {
   // Installs list `list`'s frozen scan storage: `count` entries whose ids
   // and norms the index copies into heap arrays (the RAM-resident "head")
   // and whose payload rows stay at `payload` — 64-byte aligned, padded_dim()
-  // stride, typically inside an mmap'd v4 snapshot, valid for the index's
+  // stride, typically inside a mapped snapshot, valid for the index's
   // lifetime. Resolves the per-local payload pointers. Must follow the
   // AddImageMetadata calls that defined the ids; each list may be attached
   // once, before any AddImage.
@@ -275,9 +275,6 @@ class IvfIndex {
 
   // Per-list scan storage introspection (snapshot writers).
   std::size_t num_lists() const noexcept { return blocks_.size(); }
-  std::size_t ListEntryCount(std::size_t list) const {
-    return blocks_[list]->size();
-  }
   // Visits list `list`'s published entries as contiguous runs:
   // fn(ids, payload, norms, count). Safe concurrently with searches.
   void ForEachScanRun(

@@ -44,7 +44,6 @@
 #include "lsh/lsh_index.h"
 #include "metrics/cdf.h"
 #include "metrics/latency_recorder.h"
-#include "metrics/qps_counter.h"
 #include "metrics/time_series.h"
 #include "mq/message.h"
 #include "mq/message_log.h"
@@ -63,7 +62,6 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "pq/codebook.h"
-#include "pq/pq_snapshot.h"
 #include "qos/admission.h"
 #include "qos/deadline.h"
 #include "qos/load_controller.h"

@@ -36,8 +36,9 @@ struct QueryOptions {
   // Structured attribute predicates (hybrid filtered search): every result
   // must satisfy this conjunction of category-tag and numeric-range
   // predicates, enforced by bitmap pushdown inside the searcher scan. Empty
-  // = unfiltered. Conjoined with category_filter when both are set.
-  FilterExpression filter;
+  // = unfiltered. Conjoined with category_filter when both are set. The
+  // braces keep designated initializers that skip it warning-free.
+  FilterExpression filter{};
 
   // Latency budget (QoS): the blender stamps budget -> absolute deadline at
   // admission and every tier below fails fast once it expires. kNoBudget

@@ -48,10 +48,7 @@ void TierScrubber::Loop() {
     // store) out from under us, and the shared_ptr keeps this slice's store
     // alive even then.
     const std::shared_ptr<TieredListStore> store = provider_();
-    if (store == nullptr || store->num_lists() == 0 ||
-        !store->has_checksums()) {
-      continue;
-    }
+    if (store == nullptr || store->num_lists() == 0) continue;
     Micros spent = 0;
     for (std::size_t i = 0; i < config_.lists_per_slice; ++i) {
       if (config_.io_budget_micros_per_slice > 0 &&

@@ -86,7 +86,7 @@ TieredListStore::TieredListStore(MmapFile file,
     states_.push_back(state);
     payload_bytes_ += extent.bytes;
   }
-  if (!checksums_.empty() && checksums_.size() != states_.size()) {
+  if (checksums_.size() != states_.size()) {
     throw TieredIoError("checksum directory size mismatch: " +
                         std::to_string(checksums_.size()) + " checksums for " +
                         std::to_string(states_.size()) + " lists");
@@ -280,7 +280,7 @@ TieredListStore::PinGuard TieredListStore::Pin(
           resident_bytes_metric_->Add(
               static_cast<std::int64_t>(s.extent.bytes));
           fault = true;
-          verify = !checksums_.empty() && !s.verified;
+          verify = !s.verified;
           extent = s.extent;
           if (stats != nullptr) ++stats->lists_faulted;
         }
@@ -333,7 +333,7 @@ TieredListStore::PinGuard TieredListStore::Pin(
         s.faulting = false;
         s.resident = true;
         s.ref = true;
-        if (verify || checksums_.empty()) s.verified = true;
+        s.verified = true;
         ++s.pin_count;
       }
       fault_cv_.notify_all();
@@ -352,7 +352,6 @@ TieredListStore::ScrubStatus TieredListStore::ScrubList(
     return ScrubStatus::kAlreadyQuarantined;
   }
   if (extent.bytes == 0) return ScrubStatus::kEmpty;
-  if (checksums_.empty()) return ScrubStatus::kNoChecksum;
 
   const Stopwatch watch(*clock_);
   std::uint32_t crc = 0;
@@ -445,7 +444,6 @@ TieredStoreStats TieredListStore::Stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.probes_dropped = probes_dropped_.load(std::memory_order_relaxed);
-  stats.has_checksums = !checksums_.empty();
   stats.quarantined_lists = quarantined_now_.load(std::memory_order_relaxed);
   stats.quarantine_events =
       quarantine_events_.load(std::memory_order_relaxed);
@@ -468,8 +466,7 @@ void TieredListStore::RenderStatus(std::ostream& os) const {
      << s.budget_bytes << "\n  hits: " << s.hits << "  misses: " << s.misses
      << "  hit rate: " << hit_rate << "\n  evictions: " << s.evictions
      << "  probes dropped (io budget): " << s.probes_dropped
-     << "\n  integrity: " << (s.has_checksums ? "crc32c" : "none (v4)")
-     << "  quarantined: " << s.quarantined_lists << " ("
+     << "\n  quarantined: " << s.quarantined_lists << " ("
      << s.quarantine_events << " events, " << s.quarantine_skips
      << " probes skipped, " << s.io_errors << " io errors)\n";
 }

@@ -1,4 +1,4 @@
-// Hot-list residency cache over an mmap'd v4 snapshot.
+// Hot-list residency cache over a mapped index snapshot.
 //
 // The tiered index keeps the "head" in RAM — coarse quantizer, per-list
 // directory, LocalId/norm arrays, PQ codebooks, attribute filter index —
@@ -25,8 +25,8 @@
 // string of cold reads. At least one list is always served so a fully cold
 // query still returns results.
 //
-// Integrity: storage is treated as an adversary. When the snapshot carries
-// per-list CRC32C checksums (v5 directory), a list is verified on its first
+// Integrity: storage is treated as an adversary. Every list carries a
+// CRC32C from the snapshot directory, and a list is verified on its first
 // fault-in after load or after re-residency — the page touch that faults the
 // data in doubles as the checksum walk, so a warmed hot path pays nothing.
 // The touch+verify runs under a scoped SIGBUS guard: an I/O error or a file
@@ -110,7 +110,6 @@ struct TieredStoreStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t probes_dropped = 0;
-  bool has_checksums = false;
   std::uint64_t quarantined_lists = 0;  // currently poisoned
   std::uint64_t quarantine_events = 0;  // lists ever poisoned
   std::uint64_t quarantine_skips = 0;   // probes skipped on poisoned lists
@@ -129,22 +128,18 @@ class TieredListStore {
   enum class ScrubStatus {
     kOk,                  // checksum verified
     kEmpty,               // empty segment, nothing to verify
-    kNoChecksum,          // snapshot has no checksums (v4)
     kAlreadyQuarantined,  // previously poisoned, left alone
     kIoError,             // read failed → quarantined
     kCorrupt,             // checksum mismatch → quarantined
   };
 
   // Takes ownership of the mapping. `extents[i]` is list i's payload
-  // segment; empty lists use bytes == 0. `checksums` (may be empty = no
-  // integrity data, v4 snapshots) is the per-list CRC32C over the exact
-  // payload bytes of each segment.
+  // segment; empty lists use bytes == 0. `checksums[i]` is the CRC32C over
+  // the exact payload bytes of segment i; throws TieredIoError unless there
+  // is one per list.
   TieredListStore(MmapFile file, std::vector<ListExtent> extents,
                   std::vector<std::uint32_t> checksums,
                   const TieredStoreConfig& config);
-  TieredListStore(MmapFile file, std::vector<ListExtent> extents,
-                  const TieredStoreConfig& config)
-      : TieredListStore(std::move(file), std::move(extents), {}, config) {}
 
   TieredListStore(const TieredListStore&) = delete;
   TieredListStore& operator=(const TieredListStore&) = delete;
@@ -200,7 +195,6 @@ class TieredListStore {
 
   const MmapFile& file() const noexcept { return file_; }
   std::size_t num_lists() const noexcept { return states_.size(); }
-  bool has_checksums() const noexcept { return !checksums_.empty(); }
   // List i's payload extent; immutable after construction (inspection).
   ListExtent extent(std::size_t list) const { return states_[list].extent; }
   bool poisoned(std::size_t list) const {
@@ -246,7 +240,7 @@ class TieredListStore {
   const TieredStoreConfig config_;
   const Clock* clock_;
   std::size_t payload_bytes_ = 0;
-  std::vector<std::uint32_t> checksums_;  // empty = no integrity data (v4)
+  std::vector<std::uint32_t> checksums_;  // one per list
 
   mutable std::mutex mu_;
   std::condition_variable fault_cv_;

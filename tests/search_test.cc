@@ -700,7 +700,7 @@ TEST(SearcherTest, SnapshotSaveAndInstallRoundTrip) {
        ("jdvs_searcher_snap_" + std::to_string(::getpid()) + ".bin"))
           .string();
   const auto stats_before = mini.searcher_a->index_stats();
-  mini.searcher_a->SaveIndexSnapshot(path);
+  mini.searcher_a->SaveTieredSnapshot(path);
 
   // A different searcher (same partition) installs from the snapshot.
   Searcher restored("s-restored", Searcher::Config{}, mini.features,

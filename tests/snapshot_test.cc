@@ -1,15 +1,21 @@
-// Tests for index snapshot persistence: round trips, corruption handling.
+// Tests for index snapshot persistence: round trips of both codecs through
+// the one format, corruption handling, and a bit-flip sweep over every
+// section and payload segment.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
+#include "common/crc32c.h"
+#include "index/digest.h"
 #include "index/full_index_builder.h"
 #include "index/snapshot.h"
-#include "pq/pq_snapshot.h"
+#include "net/fault_injector.h"
 #include "search/searcher.h"
+#include "tier/tiered_snapshot.h"
 #include "workload/catalog_gen.h"
 
 namespace jdvs {
@@ -190,7 +196,7 @@ TEST_F(SnapshotTest, SearcherSnapshotDuringConcurrentUpdates) {
     }
   });
   const std::string path = PathFor("race.snap");
-  searcher.SaveIndexSnapshot(path);
+  searcher.SaveTieredSnapshot(path);
   writer.join();
 
   std::uint64_t hwm = 0;
@@ -259,10 +265,12 @@ struct PqBuilt {
 TEST_F(SnapshotTest, PqRoundTripPreservesSearchResults) {
   PqBuilt built;
   const std::string path = PathFor("pq.snap");
-  SaveIvfPqSnapshot(*built.index, path);
-  const auto loaded = LoadIvfPqSnapshot(path);
+  SaveIndexSnapshot(*built.index, path);
+  const auto loaded = LoadIndexSnapshot(path);
+  ASSERT_NE(loaded->pq(), nullptr);
   ASSERT_EQ(loaded->size(), built.index->size());
   EXPECT_EQ(loaded->Stats().valid_images, built.index->Stats().valid_images);
+  EXPECT_EQ(ComputeIndexDigest(*loaded), ComputeIndexDigest(*built.index));
   for (ProductId pid = 1; pid <= 30; ++pid) {
     const auto query = built.embedder.ExtractQuery(
         pid, static_cast<CategoryId>(pid % 8), pid);
@@ -279,9 +287,10 @@ TEST_F(SnapshotTest, PqRoundTripPreservesSearchResults) {
 TEST_F(SnapshotTest, PqRoundTripWithRefinementStore) {
   PqBuilt built(/*keep_raw=*/true);
   const std::string path = PathFor("pq_raw.snap");
-  SaveIvfPqSnapshot(*built.index, path);
-  const auto loaded = LoadIvfPqSnapshot(path);
+  SaveIndexSnapshot(*built.index, path);
+  const auto loaded = LoadIndexSnapshot(path);
   EXPECT_GT(loaded->Stats().raw_memory_bytes, 0u);
+  EXPECT_EQ(ComputeIndexDigest(*loaded), ComputeIndexDigest(*built.index));
   for (ProductId pid = 1; pid <= 20; ++pid) {
     const auto query = built.embedder.ExtractQuery(
         pid, static_cast<CategoryId>(pid % 8), pid);
@@ -298,66 +307,311 @@ TEST_F(SnapshotTest, PqRoundTripWithRefinementStore) {
 TEST_F(SnapshotTest, PqBadMagicThrows) {
   const std::string path = PathFor("pq_garbage.snap");
   std::ofstream(path, std::ios::binary) << "junk junk junk junk";
-  EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 }
 
 TEST_F(SnapshotTest, PqTruncatedThrows) {
   PqBuilt built;
   const std::string path = PathFor("pq.snap");
-  SaveIvfPqSnapshot(*built.index, path);
+  SaveIndexSnapshot(*built.index, path);
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size / 2);
-  EXPECT_THROW(LoadIvfPqSnapshot(path), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 }
 
-// Byte offset of entry 0 in a PQ snapshot of `index`, following the layout
-// pq/pq_snapshot.cc writes.
-std::size_t FirstPqEntryOffset(const IvfIndex& index) {
-  const std::size_t header = 8 + 4 + 8 + 8 + 8 + 1;  // magic..raw flag
-  const std::size_t coarse =
-      16 + index.quantizer().num_clusters() * index.dim() * sizeof(float);
-  const std::size_t codebooks =
-      16 + index.pq()->codebooks().size() * sizeof(float);
-  return header + coarse + codebooks + 8;  // + entry count
+// ---- Corruption helpers, following the layout in index/snapshot.h ----
+
+constexpr std::uint64_t kFrameBytes = 16;  // u32 tag | u64 length | u32 crc
+constexpr std::uint64_t kDirectoryEntryBytes = 28;
+
+std::vector<char> ReadBytes(const std::string& path, std::uint64_t offset,
+                            std::uint64_t n) {
+  std::ifstream f(path, std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(offset));
+  std::vector<char> bytes(n);
+  f.read(bytes.data(), static_cast<std::streamsize>(n));
+  EXPECT_TRUE(f.good());
+  return bytes;
 }
 
-// A list id or a code byte out of range in the file is rejected at load
-// instead of indexing past the lists or the ADC table at search time.
+void Patch(const std::string& path, std::uint64_t offset, const void* bytes,
+           std::size_t n) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(n));
+  ASSERT_TRUE(f.good());
+}
+
+// Rewrites a section's CRC32C (over tag, length and body) to match its
+// current bytes, so a test can plant a value the checksum would catch and
+// reach the structural check behind it.
+void ResealSection(const std::string& path, const SnapshotSection& section) {
+  const std::vector<char> frame = ReadBytes(path, section.offset, section.bytes);
+  const std::uint32_t crc =
+      Crc32c(frame.data() + kFrameBytes, frame.size() - kFrameBytes,
+             Crc32c(frame.data(), 12));
+  Patch(path, section.offset + 12, &crc, sizeof(crc));
+}
+
+const SnapshotSection& SectionNamed(const SnapshotDirectory& dir,
+                                    const std::string& name) {
+  for (const SnapshotSection& section : dir.sections) {
+    if (section.name == name) return section;
+  }
+  ADD_FAILURE() << "no section " << name;
+  return dir.sections.front();
+}
+
+const SnapshotSegment& FirstNonEmptySegment(const SnapshotDirectory& dir) {
+  for (const SnapshotSegment& seg : dir.segments) {
+    if (seg.bytes > 0) return seg;
+  }
+  ADD_FAILURE() << "no non-empty segment";
+  return dir.segments.front();
+}
+
+// A list naming an entry past the end, or a code byte past the codebook, is
+// rejected at load instead of indexing past the entries or the ADC table at
+// search time — even when every checksum matches.
 TEST_F(SnapshotTest, PqCorruptListOrCodeThrows) {
   PqBuilt built;
   const std::string good = PathFor("pq.snap");
-  SaveIvfPqSnapshot(*built.index, good);
-  // Entry 0 starts with its URL; its detail URL is empty.
-  const std::string url = MakeImageUrl(1, 0);
-  const std::size_t entry = FirstPqEntryOffset(*built.index);
-  {
-    std::ifstream f(good, std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(entry));
-    std::uint32_t length = 0;
-    f.read(reinterpret_cast<char*>(&length), sizeof(length));
-    std::string stored(length, '\0');
-    f.read(stored.data(), length);
-    ASSERT_EQ(stored, url);
-  }
-  const std::size_t list_offset = entry + 4 + url.size() + 8 + 4 + 3 * 8 + 4;
-  const auto corrupt = [&](const std::string& name, std::size_t offset,
-                           const void* bytes, std::size_t n) {
+  SaveIndexSnapshot(*built.index, good);
+  const SnapshotDirectory dir = ReadSnapshotDirectory(good);
+  ASSERT_TRUE(dir.pq);
+  const auto copy = [&](const std::string& name) {
     const std::string path = PathFor(name);
     std::filesystem::copy_file(good, path);
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(static_cast<std::streamoff>(offset));
-    f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(n));
     return path;
   };
-  const std::uint32_t bad_list = 1000000;
-  EXPECT_THROW(LoadIvfPqSnapshot(corrupt("bad_list.snap", list_offset,
-                                         &bad_list, sizeof(bad_list))),
-               SnapshotError);
-  const std::uint8_t bad_code = 250;  // codebook_size is 32
-  // The code follows the list id and the validity byte.
-  EXPECT_THROW(LoadIvfPqSnapshot(corrupt("bad_code.snap",
-                                         list_offset + 4 + 1, &bad_code, 1)),
-               SnapshotError);
+
+  // LISTS starts with the first non-empty list's first id.
+  const std::string bad_list = copy("bad_list.snap");
+  const SnapshotSection& lists = SectionNamed(dir, "LISTS");
+  const LocalId past_end = 1000000;
+  Patch(bad_list, lists.offset + kFrameBytes, &past_end, sizeof(past_end));
+  EXPECT_THROW(LoadIndexSnapshot(bad_list), SnapshotError);  // crc32c
+  ResealSection(bad_list, lists);
+  EXPECT_THROW(LoadIndexSnapshot(bad_list), SnapshotError);  // range check
+
+  // A code byte past codebook_size (32), with the segment's checksum in the
+  // directory and the directory's own checksum both made to match.
+  const std::string bad_code = copy("bad_code.snap");
+  const SnapshotSegment& seg = FirstNonEmptySegment(dir);
+  const std::uint8_t past_codebook = 250;
+  Patch(bad_code, seg.offset, &past_codebook, 1);
+  EXPECT_THROW(LoadIndexSnapshot(bad_code), SnapshotError);  // crc32c
+  const std::vector<char> payload = ReadBytes(bad_code, seg.offset, seg.bytes);
+  const std::uint32_t crc = Crc32c(payload.data(), payload.size());
+  const SnapshotSection& directory = SectionNamed(dir, "DIRECTORY");
+  Patch(bad_code,
+        directory.offset + kFrameBytes + seg.list * kDirectoryEntryBytes + 24,
+        &crc, sizeof(crc));
+  ResealSection(bad_code, directory);
+  EXPECT_TRUE(VerifySnapshot(bad_code).corrupt_lists.empty());
+  EXPECT_THROW(LoadIndexSnapshot(bad_code), SnapshotError);  // range check
+}
+
+// ---- Bit-flip sweep: every byte is checked or harmless ----
+
+using Answers = std::vector<std::vector<SearchHit>>;
+
+Answers AnswersOf(const IvfIndex& index,
+                  const std::vector<FeatureVector>& queries) {
+  Answers answers;
+  for (const FeatureVector& query : queries) {
+    answers.push_back(index.Search(query, 5, index.num_lists()));
+  }
+  return answers;
+}
+
+void ExpectSameAnswers(const Answers& want, const Answers& got,
+                       const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    ASSERT_EQ(want[q].size(), got[q].size()) << what << " query " << q;
+    for (std::size_t i = 0; i < want[q].size(); ++i) {
+      EXPECT_EQ(want[q][i].image_id, got[q][i].image_id) << what;
+      EXPECT_EQ(want[q][i].distance, got[q][i].distance) << what;
+    }
+  }
+}
+
+// Serves `queries` from a mapped index after a payload or padding flip:
+// each answer is the original's, or is flagged degraded (a quarantined
+// list was skipped) and holds only true distances. Returns the number of
+// degraded answers.
+int ExpectExactOrDegraded(const IvfIndex& original, const IvfIndex& mapped,
+                          const std::vector<FeatureVector>& queries,
+                          const Answers& want, const std::string& what) {
+  int degraded = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    TierScanStats tier;
+    const auto hits =
+        mapped.Search(queries[q], 5, mapped.num_lists(), kNoCategoryFilter,
+                      nullptr, nullptr, /*io_budget_micros=*/0, &tier);
+    if (tier.lists_quarantined == 0) {
+      ExpectSameAnswers({want[q]}, {hits}, what);
+      continue;
+    }
+    ++degraded;
+    std::map<ImageId, float> truth;
+    for (const SearchHit& hit :
+         original.SearchExhaustive(queries[q], original.size())) {
+      truth[hit.image_id] = hit.distance;
+    }
+    for (const SearchHit& hit : hits) {
+      const auto it = truth.find(hit.image_id);
+      if (it == truth.end()) {
+        ADD_FAILURE() << what << ": a degraded answer holds an unknown image";
+        continue;
+      }
+      // Dot-form scan vs subtract-form oracle: ulps apart, not units.
+      EXPECT_NEAR(hit.distance, it->second, 0.01f) << what;
+    }
+  }
+  return degraded;
+}
+
+struct Region {
+  std::string what;
+  std::uint64_t offset = 0;
+  std::uint64_t bytes = 0;
+  bool padding = false;
+  bool payload = false;
+};
+
+std::uint64_t AlignUp64(std::uint64_t v) { return (v + 63) / 64 * 64; }
+
+// The file as regions: the magic, each section, each payload segment and
+// the alignment padding between them. Asserts that they tile the file.
+std::vector<Region> RegionsOf(const SnapshotDirectory& dir) {
+  std::vector<Region> regions;
+  regions.push_back({"magic", 0, 8});
+  std::uint64_t end = 8;
+  for (const SnapshotSection& section : dir.sections) {
+    EXPECT_EQ(section.offset, end) << section.name;
+    regions.push_back({section.name, section.offset, section.bytes});
+    end = section.offset + section.bytes;
+  }
+  EXPECT_EQ(dir.payload_base, AlignUp64(end));
+  regions.push_back({"head padding", end, dir.payload_base - end, true});
+  end = dir.payload_base;
+  for (const SnapshotSegment& seg : dir.segments) {
+    EXPECT_EQ(seg.offset, end) << "list " << seg.list;
+    const std::string list = "list " + std::to_string(seg.list);
+    regions.push_back({list + " payload", seg.offset, seg.bytes, false, true});
+    end = AlignUp64(seg.offset + seg.bytes);
+    regions.push_back({list + " padding", seg.offset + seg.bytes,
+                       end - seg.offset - seg.bytes, true});
+  }
+  EXPECT_EQ(end, dir.file_bytes);
+  // Fields a flip could silently mislead search through, flipped byte by
+  // byte: the high-water mark (HEADER body bytes 8..15) and, for flat rows,
+  // the last norm, which ends LISTS.
+  const SnapshotSection& header = SectionNamed(dir, "HEADER");
+  regions.push_back({"HEADER update_hwm", header.offset + kFrameBytes + 8, 8});
+  if (!dir.pq) {
+    const SnapshotSection& lists = SectionNamed(dir, "LISTS");
+    regions.push_back({"LISTS last norm", lists.offset + lists.bytes - 4, 4});
+  }
+  std::erase_if(regions, [](const Region& r) { return r.bytes == 0; });
+  return regions;
+}
+
+// Flips seeded bits in every region of `good` (a snapshot of `original`)
+// and checks each copy against both loaders.
+void SweepBitFlips(const IvfIndex& original, const std::string& good,
+                   const std::vector<FeatureVector>& queries,
+                   const std::string& scratch) {
+  const Answers want = AnswersOf(original, queries);
+  const SnapshotDirectory dir = ReadSnapshotDirectory(good);
+  std::uint64_t seed = 1;
+  int trials = 0;
+  int padding_trials = 0;
+  int quarantined = 0;
+  for (const Region& region : RegionsOf(dir)) {
+    // Small fields get one flip per byte; larger regions a few seeded ones.
+    const std::uint64_t flips = region.bytes <= 8 ? region.bytes : 4;
+    for (std::uint64_t f = 0; f < flips; ++f, ++seed) {
+      const std::string what = region.what + " flip " + std::to_string(f);
+      std::filesystem::copy_file(
+          good, scratch, std::filesystem::copy_options::overwrite_existing);
+      const std::uint64_t offset =
+          region.bytes <= 8 ? region.offset + f : region.offset;
+      const std::uint64_t span = region.bytes <= 8 ? 1 : region.bytes;
+      ASSERT_TRUE(FaultInjector::FlipBit(scratch, offset, span, seed)) << what;
+      ++trials;
+
+      std::unique_ptr<IvfIndex> heap;
+      try {
+        heap = LoadIndexSnapshot(scratch);
+      } catch (const SnapshotError&) {
+      }
+      if (region.padding) {
+        ++padding_trials;
+        ASSERT_NE(heap, nullptr) << what;
+        ExpectSameAnswers(want, AnswersOf(*heap, queries), what);
+      } else {
+        EXPECT_EQ(heap, nullptr) << what << " loaded to the heap";
+      }
+
+      TieredStoreConfig tier;
+      tier.drop_pages_on_load = false;
+      std::unique_ptr<IvfIndex> mapped;
+      try {
+        mapped = LoadTieredSnapshot(scratch, tier);
+      } catch (const SnapshotError&) {
+      }
+      if (dir.pq || !(region.padding || region.payload)) {
+        EXPECT_EQ(mapped, nullptr) << what << " mapped";
+        continue;
+      }
+      ASSERT_NE(mapped, nullptr) << what;
+      const int degraded =
+          ExpectExactOrDegraded(original, *mapped, queries, want, what);
+      const std::uint64_t poisoned =
+          mapped->tiered_store()->quarantined_lists();
+      // Every query probes every list, so a corrupt segment is found.
+      EXPECT_EQ(poisoned, region.payload ? 1u : 0u) << what;
+      if (region.padding) {
+        EXPECT_EQ(degraded, 0) << what;
+      }
+      quarantined += static_cast<int>(poisoned);
+    }
+  }
+  EXPECT_GT(trials, 40);
+  EXPECT_GT(padding_trials, 0);
+  if (!dir.pq) {
+    EXPECT_GT(quarantined, 0);
+  }
+}
+
+std::vector<FeatureVector> QueriesFor(const SyntheticEmbedder& embedder,
+                                      std::size_t categories) {
+  std::vector<FeatureVector> queries;
+  for (ProductId pid = 1; pid <= 8; ++pid) {
+    queries.push_back(embedder.ExtractQuery(
+        pid, static_cast<CategoryId>(pid % categories), pid));
+  }
+  return queries;
+}
+
+TEST_F(SnapshotTest, BitFlipSweepFlatRows) {
+  Built built;
+  built.index->SetProductValidity(3, false);
+  const std::string good = PathFor("flat.snap");
+  SaveIndexSnapshot(*built.index, good, /*update_hwm=*/77);
+  SweepBitFlips(*built.index, good, QueriesFor(built.embedder, 8),
+                PathFor("flipped.snap"));
+}
+
+TEST_F(SnapshotTest, BitFlipSweepPqCodes) {
+  PqBuilt built(/*keep_raw=*/true);  // RAW section present too
+  const std::string good = PathFor("pq.snap");
+  SaveIndexSnapshot(*built.index, good, /*update_hwm=*/77);
+  SweepBitFlips(*built.index, good, QueriesFor(built.embedder, 8),
+                PathFor("flipped.snap"));
 }
 
 }  // namespace

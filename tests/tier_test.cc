@@ -1,20 +1,23 @@
-// Tests for the tiered memory/disk subsystem: v4/v5 snapshot round trips,
+// Tests for the tiered memory/disk subsystem: mapped snapshot round trips,
 // mapped-vs-heap bit-exactness, corruption rejection, the hot-list
 // residency cache (hits/misses, clock eviction, pin-wins, io budget), and
 // the integrity layer (checksums, quarantine, SIGBUS survival, scrub).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <thread>
 
+#include "cluster/kmeans.h"
 #include "common/crc32c.h"
 #include "index/digest.h"
 #include "index/full_index_builder.h"
 #include "index/snapshot.h"
 #include "net/fault_injector.h"
+#include "pq/codebook.h"
 #include "tier/scrubber.h"
 #include "tier/tiered_snapshot.h"
 #include "tier/tiered_store.h"
@@ -86,14 +89,14 @@ class SteppingClock final : public Clock {
 };
 
 // ---------------------------------------------------------------------------
-// v4 snapshot: round trips, bit-exactness, version ladder, corruption.
+// Mapped snapshots: round trips, bit-exactness, corruption.
 // ---------------------------------------------------------------------------
 
 TEST_F(TierTest, MappedLoadIsBitExactAgainstOriginal) {
   Built built;
   built.index->SetProductValidity(5, false);
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path, /*update_hwm=*/17);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/17);
 
   std::uint64_t hwm = 0;
   const auto mapped =
@@ -128,11 +131,11 @@ TEST_F(TierTest, MappedLoadIsBitExactAgainstOriginal) {
 
 TEST_F(TierTest, HeapLoadDispatchesV4AndMatchesMapped) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path, /*update_hwm=*/9);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/9);
 
-  // The generic loader must recognize version 4 and produce the same index
-  // (it copies everything to heap; no tier store attached).
+  // The heap loader reads the same file into the same index (it copies
+  // everything to heap; no tier store attached).
   std::uint64_t hwm = 0;
   const auto heap = LoadIndexSnapshot(path, &hwm);
   EXPECT_EQ(hwm, 9u);
@@ -153,28 +156,10 @@ TEST_F(TierTest, HeapLoadDispatchesV4AndMatchesMapped) {
   }
 }
 
-TEST_F(TierTest, VersionLadderStillLoads) {
-  Built built;
-  // v3 (the classic writer) and v4 (tiered) of the same index must load
-  // through LoadIndexSnapshot and agree on content.
-  const std::string v3 = PathFor("index.v3");
-  const std::string v4 = PathFor("index.v4");
-  SaveIndexSnapshot(*built.index, v3, /*update_hwm=*/3);
-  SaveTieredSnapshot(*built.index, v4, /*update_hwm=*/3);
-
-  const auto from_v3 = LoadIndexSnapshot(v3);
-  const auto from_v4 = LoadIndexSnapshot(v4);
-  EXPECT_EQ(ComputeIndexDigest(*from_v3).content_hash,
-            ComputeIndexDigest(*from_v4).content_hash);
-  EXPECT_EQ(from_v3->config().nprobe, from_v4->config().nprobe);
-  EXPECT_EQ(from_v3->attribute_filters().ColumnChecksum(),
-            from_v4->attribute_filters().ColumnChecksum());
-}
-
 TEST_F(TierTest, BudgetedServingIsBitExact) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
 
   TieredStoreConfig config;
   const auto unlimited = LoadTieredSnapshot(path, config);
@@ -203,8 +188,8 @@ TEST_F(TierTest, BudgetedServingIsBitExact) {
 
 TEST_F(TierTest, MappedIndexAcceptsNewWrites) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
 
   const auto before = ComputeIndexDigest(*mapped);
@@ -220,8 +205,8 @@ TEST_F(TierTest, MappedIndexAcceptsNewWrites) {
 
 TEST_F(TierTest, TruncatedV4Throws) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   const auto size = std::filesystem::file_size(path);
 
   // Cut mid-payload: the directory promises extents past EOF.
@@ -229,37 +214,84 @@ TEST_F(TierTest, TruncatedV4Throws) {
   EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError);
   EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 
-  // Cut mid-head: the directory/verification stream itself is truncated.
+  // Cut mid-head: the sections themselves are truncated.
   std::filesystem::resize_file(path, 100);
   EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 
-  // Cut mid-prefix.
+  // Cut inside the first frame.
   std::filesystem::resize_file(path, 12);
   EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
+}
+
+// Rewrites a section's CRC32C (over the 12-byte tag + length and the body,
+// per index/snapshot.h) so a planted value reaches the structural checks.
+void ResealSection(const std::string& path, const SnapshotSection& section) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  std::vector<char> frame(section.bytes);
+  f.seekg(static_cast<std::streamoff>(section.offset));
+  f.read(frame.data(), static_cast<std::streamsize>(frame.size()));
+  const std::uint32_t crc =
+      Crc32c(frame.data() + 16, frame.size() - 16, Crc32c(frame.data(), 12));
+  f.seekp(static_cast<std::streamoff>(section.offset + 12));
+  f.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
 }
 
 TEST_F(TierTest, CorruptDirectoryThrows) {
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
+  const SnapshotDirectory dir = ReadSnapshotDirectory(path);
+  const auto directory =
+      std::find_if(dir.sections.begin(), dir.sections.end(),
+                   [](const SnapshotSection& s) { return s.name == "DIRECTORY"; });
+  ASSERT_NE(directory, dir.sections.end());
 
-  // payload_base lives at offset 20 (magic + version + hwm); forcing its low
-  // byte to an odd value breaks the 64-byte alignment invariant.
+  // List 1's rel_offset (DIRECTORY body bytes 36..43) made odd: the checksum
+  // catches it, and with the checksum resealed the 64-byte layout check does.
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(20);
+    f.seekp(static_cast<std::streamoff>(directory->offset + 16 + 28 + 8));
     const char bad = 0x01;
     f.write(&bad, 1);
   }
   EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError);
   EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
+  ResealSection(path, *directory);
+  EXPECT_THROW(LoadTieredSnapshot(path, TieredStoreConfig{}), SnapshotError);
+  EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
 }
 
-TEST_F(TierTest, NotAV4FileThrowsFromTieredLoader) {
-  Built built;
-  const std::string v3 = PathFor("index.v3");
-  SaveIndexSnapshot(*built.index, v3);
-  EXPECT_THROW(LoadTieredSnapshot(v3, TieredStoreConfig{}), SnapshotError);
+TEST_F(TierTest, PqFileAndBadMagicThrowFromMappedLoader) {
+  // PQ codes load through the heap loader only.
+  std::vector<FeatureVector> training;
+  const SyntheticEmbedder embedder({.dim = 16, .num_categories = 4, .seed = 3});
+  for (ProductId pid = 1; pid <= 64; ++pid) {
+    training.push_back(embedder.Extract({MakeImageUrl(pid, 0), pid, 1}));
+  }
+  KMeansConfig kc;
+  kc.num_clusters = 4;
+  ProductQuantizerConfig pc;
+  pc.num_subspaces = 4;
+  pc.codebook_size = 16;
+  IvfIndex pq_index(
+      std::make_shared<CoarseQuantizer>(TrainKMeans(training, kc)), {},
+      std::make_shared<ProductQuantizer>(
+          ProductQuantizer::Train(training, pc)));
+  for (ProductId pid = 1; pid <= 64; ++pid) {
+    pq_index.AddImage(MakeImageUrl(pid, 0), pid, 1, {}, "",
+                      training[pid - 1]);
+  }
+  const std::string pq = PathFor("pq.snap");
+  SaveIndexSnapshot(pq_index, pq);
+  EXPECT_EQ(LoadIndexSnapshot(pq)->size(), pq_index.size());
+  EXPECT_THROW(LoadTieredSnapshot(pq, TieredStoreConfig{}), SnapshotError);
+
+  const std::string garbage = PathFor("garbage.snap");
+  std::ofstream(garbage, std::ios::binary) << "this is not a snapshot at all";
+  EXPECT_THROW(LoadTieredSnapshot(garbage, TieredStoreConfig{}),
+               SnapshotError);
   EXPECT_THROW(LoadTieredSnapshot(PathFor("missing"), TieredStoreConfig{}),
                SnapshotError);
 }
@@ -271,32 +303,38 @@ TEST_F(TierTest, NotAV4FileThrowsFromTieredLoader) {
 constexpr std::size_t kSynListBytes = 8192;
 
 // Writes `num_lists` segments of kSynListBytes, each filled with a
-// per-list marker byte, 64-byte aligned (page-sized, so trivially aligned).
-std::vector<TieredListStore::ListExtent> WriteSyntheticPayload(
-    const std::string& path, std::size_t num_lists) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+// per-list marker byte, 64-byte aligned (page-sized, so trivially aligned),
+// and returns their extents and CRC32Cs.
+struct SyntheticPayload {
   std::vector<TieredListStore::ListExtent> extents;
+  std::vector<std::uint32_t> checksums;
+};
+SyntheticPayload WriteSyntheticPayload(const std::string& path,
+                                       std::size_t num_lists) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  SyntheticPayload payload;
   for (std::size_t i = 0; i < num_lists; ++i) {
     const std::string fill(kSynListBytes, static_cast<char>(i * 17 + 1));
-    extents.push_back({i * kSynListBytes, kSynListBytes});
+    payload.extents.push_back({i * kSynListBytes, kSynListBytes});
+    payload.checksums.push_back(Crc32c(fill.data(), fill.size()));
     os.write(fill.data(), static_cast<std::streamsize>(fill.size()));
   }
-  return extents;
+  return payload;
 }
 
 struct SynStore {
   SynStore(const std::string& path, std::size_t num_lists,
-           std::size_t budget_lists, const Clock* clock = nullptr)
-      : extents(WriteSyntheticPayload(path, num_lists)) {
+           std::size_t budget_lists, const Clock* clock = nullptr) {
+    SyntheticPayload payload = WriteSyntheticPayload(path, num_lists);
     TieredStoreConfig config;
     config.resident_bytes_budget = budget_lists * kSynListBytes;
     config.registry = &registry;
     config.clock = clock;
-    store = std::make_unique<TieredListStore>(MmapFile::Open(path),
-                                              std::move(extents), config);
+    store = std::make_unique<TieredListStore>(
+        MmapFile::Open(path), std::move(payload.extents),
+        std::move(payload.checksums), config);
   }
   obs::Registry registry;
-  std::vector<TieredListStore::ListExtent> extents;
   std::unique_ptr<TieredListStore> store;
 };
 
@@ -435,8 +473,8 @@ TEST_F(TierTest, ConcurrentSearchOnBudgetedMappedIndex) {
   // End-to-end race: concurrent searches on a mapped index whose store
   // evicts under a tight budget must all match the RAM-resident answers.
   Built built;
-  const std::string path = PathFor("index.v4");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   TieredStoreConfig config;
   config.resident_bytes_budget = std::max<std::size_t>(
       1, LoadTieredSnapshot(path, TieredStoreConfig{})
@@ -484,7 +522,7 @@ TEST_F(TierTest, ConcurrentSearchOnBudgetedMappedIndex) {
 }
 
 // ---------------------------------------------------------------------------
-// Integrity layer: CRC32C, checksummed v5 snapshots, quarantine, SIGBUS
+// Integrity layer: CRC32C, checksummed snapshots, quarantine, SIGBUS
 // survival, scrub, storage fault injection.
 // ---------------------------------------------------------------------------
 
@@ -509,40 +547,34 @@ TEST_F(TierTest, MmapFileTypedErrors) {
   EXPECT_THROW(MmapFile::Open(PathFor("missing")), MmapError);
 }
 
-TEST_F(TierTest, V5RoundTripCarriesChecksumsAndMatchesV4) {
+TEST_F(TierTest, RoundTripCarriesChecksumsAndVerifiesClean) {
   Built built;
-  const std::string v4 = PathFor("index.v4");
-  const std::string v5 = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, v4, /*update_hwm=*/3, /*version=*/4);
-  SaveTieredSnapshot(*built.index, v5, /*update_hwm=*/3);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path, /*update_hwm=*/3);
 
-  const auto from_v4 = LoadTieredSnapshot(v4, TieredStoreConfig{});
-  const auto from_v5 = LoadTieredSnapshot(v5, TieredStoreConfig{});
-  EXPECT_FALSE(from_v4->tiered_store()->has_checksums());
-  EXPECT_TRUE(from_v5->tiered_store()->has_checksums());
-  EXPECT_EQ(ComputeIndexDigest(*from_v4).content_hash,
-            ComputeIndexDigest(*from_v5).content_hash);
+  const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
+  EXPECT_EQ(ComputeIndexDigest(*mapped).content_hash,
+            ComputeIndexDigest(*built.index).content_hash);
 
-  // The generic (heap) loader dispatches v5 too and verifies during copy.
-  const auto heap = LoadIndexSnapshot(v5);
+  // The heap loader verifies the payload checksums during the copy.
+  const auto heap = LoadIndexSnapshot(path);
   EXPECT_EQ(ComputeIndexDigest(*heap).content_hash,
-            ComputeIndexDigest(*from_v5).content_hash);
+            ComputeIndexDigest(*mapped).content_hash);
 
   // The directory reports matching metadata and the offline verify is clean.
-  const TieredDirectoryInfo dir = ReadTieredDirectory(v5);
-  EXPECT_EQ(dir.version, 5u);
-  EXPECT_TRUE(dir.has_checksums);
-  EXPECT_FALSE(ReadTieredDirectory(v4).has_checksums);
-  const TieredVerifyResult verify = VerifyTieredSnapshot(v5);
-  EXPECT_TRUE(verify.has_checksums);
-  EXPECT_GT(verify.checked, 0u);
+  const SnapshotDirectory dir = ReadSnapshotDirectory(path);
+  EXPECT_FALSE(dir.pq);
+  EXPECT_EQ(dir.update_hwm, 3u);
+  EXPECT_EQ(dir.segments.size(), built.index->num_lists());
+  const SnapshotVerifyResult verify = VerifySnapshot(path);
+  EXPECT_EQ(verify.directory.sections.size(), dir.sections.size());
   EXPECT_TRUE(verify.corrupt_lists.empty());
 }
 
 TEST_F(TierTest, FileSizeDisagreeingWithDirectoryRefusesToMap) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   // Append garbage: the size no longer matches the directory's last extent.
   {
     std::ofstream os(path, std::ios::binary | std::ios::app);
@@ -554,15 +586,15 @@ TEST_F(TierTest, FileSizeDisagreeingWithDirectoryRefusesToMap) {
 #if defined(__linux__) || defined(__APPLE__)
 TEST_F(TierTest, SaveRefusesFileMappedByLiveIndex) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   {
     // The mapped loader holds a shared flock; rewriting under it must fail.
     const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
-    EXPECT_THROW(SaveTieredSnapshot(*built.index, path), SnapshotError);
+    EXPECT_THROW(SaveIndexSnapshot(*built.index, path), SnapshotError);
   }
   // Mapping gone, lock released: the rewrite goes through.
-  SaveTieredSnapshot(*built.index, path);
+  SaveIndexSnapshot(*built.index, path);
   // And the loader refuses a file a live mapping still flocks, from the
   // other side: a concurrent second mapping is fine (shared lock).
   const auto a = LoadTieredSnapshot(path, TieredStoreConfig{});
@@ -575,8 +607,8 @@ TEST_F(TierTest, SaveRefusesFileMappedByLiveIndex) {
 // returns the victim list.
 std::uint32_t CorruptFirstSegment(const std::string& path,
                                   std::uint64_t seed = 42) {
-  const TieredDirectoryInfo dir = ReadTieredDirectory(path);
-  for (const TieredSegmentInfo& seg : dir.segments) {
+  const SnapshotDirectory dir = ReadSnapshotDirectory(path);
+  for (const SnapshotSegment& seg : dir.segments) {
     if (seg.bytes == 0) continue;
     EXPECT_TRUE(FaultInjector::FlipBit(path, seg.offset, seg.bytes, seed));
     return seg.list;
@@ -598,18 +630,17 @@ std::map<ImageId, float> ExhaustiveDistances(const IvfIndex& index,
 
 TEST_F(TierTest, BitFlipQuarantinesAtFaultInAndQueriesDegradeCorrectly) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   const std::uint32_t victim = CorruptFirstSegment(path);
 
   const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
   TieredListStore& store = *mapped->tiered_store_shared();
-  ASSERT_TRUE(store.has_checksums());
 
   // The heap loader verifies during copy: corrupt file refuses to restore.
   EXPECT_THROW(LoadIndexSnapshot(path), SnapshotError);
   // The offline verifier pins the same list.
-  const TieredVerifyResult verify = VerifyTieredSnapshot(path);
+  const SnapshotVerifyResult verify = VerifySnapshot(path);
   ASSERT_EQ(verify.corrupt_lists.size(), 1u);
   EXPECT_EQ(verify.corrupt_lists[0], victim);
 
@@ -647,8 +678,8 @@ TEST_F(TierTest, BitFlipQuarantinesAtFaultInAndQueriesDegradeCorrectly) {
 
 TEST_F(TierTest, ScrubFindsCorruptionBeforeAnyQueryTouchesIt) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
   const std::uint32_t victim = CorruptFirstSegment(path);
 
   const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
@@ -677,16 +708,16 @@ TEST_F(TierTest, ScrubFindsCorruptionBeforeAnyQueryTouchesIt) {
 #if defined(__linux__)
 TEST_F(TierTest, TruncationBehindMappingSurvivesAsQuarantine) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
 
   const auto mapped = LoadTieredSnapshot(path, TieredStoreConfig{});
   TieredListStore& store = *mapped->tiered_store_shared();
   // Find a list whose extent will fall past the truncated EOF.
-  const TieredDirectoryInfo dir = ReadTieredDirectory(path);
+  const SnapshotDirectory dir = ReadSnapshotDirectory(path);
   const std::uintmax_t cut = std::filesystem::file_size(path) / 2;
   std::uint32_t victim = UINT32_MAX;
-  for (const TieredSegmentInfo& seg : dir.segments) {
+  for (const SnapshotSegment& seg : dir.segments) {
     if (seg.bytes > 0 && seg.offset + seg.bytes > cut) {
       victim = seg.list;
       break;
@@ -721,8 +752,8 @@ TEST_F(TierTest, TruncationBehindMappingSurvivesAsQuarantine) {
 
 TEST_F(TierTest, FailNextFaultInInjectsOneQuarantine) {
   Built built;
-  const std::string path = PathFor("index.v5");
-  SaveTieredSnapshot(*built.index, path);
+  const std::string path = PathFor("index.snap");
+  SaveIndexSnapshot(*built.index, path);
 
   FaultInjector injector(7);
   TieredStoreConfig config;
@@ -759,21 +790,14 @@ TEST_F(TierTest, ConcurrentScrubAndServingScans) {
   // TSan target: a scrubber walking checksums through pread while serving
   // threads pin/fault/evict the same lists through the mapping.
   const std::string path = PathFor("payload.bin");
-  auto extents = WriteSyntheticPayload(path, 8);
-  std::vector<std::uint32_t> checksums;
-  {
-    const MmapFile probe = MmapFile::Open(path);
-    for (const auto& extent : extents) {
-      checksums.push_back(Crc32c(probe.data() + extent.offset,
-                                 static_cast<std::size_t>(extent.bytes)));
-    }
-  }
+  SyntheticPayload payload = WriteSyntheticPayload(path, 8);
   obs::Registry registry;
   TieredStoreConfig config;
   config.resident_bytes_budget = 2 * kSynListBytes;  // constant eviction
   config.registry = &registry;
   auto store = std::make_shared<TieredListStore>(
-      MmapFile::Open(path), std::move(extents), std::move(checksums), config);
+      MmapFile::Open(path), std::move(payload.extents),
+      std::move(payload.checksums), config);
 
   TierScrubConfig sc;
   sc.poll_micros = 100;
